@@ -197,6 +197,18 @@ let with_obs ~trace_out ~metrics_out (f : unit -> int * Runtime.Trace.t option)
   in
   max code (max metrics_code trace_code)
 
+(* Instance constructors validate their parameters eagerly and raise
+   [Invalid_argument].  [with_instance build f] reports that as a usage
+   error, with cmdliner's exit status for bad options.  Only [build] is
+   guarded: an [Invalid_argument] escaping [f] is a bug and stays an
+   uncaught exception. *)
+let with_instance build f =
+  match build () with
+  | exception Invalid_argument msg ->
+    Printf.eprintf "lepower: %s\n" msg;
+    Cmd.Exit.cli_error
+  | instance -> f instance
+
 (* --- elect --- *)
 
 let elect_protocol =
@@ -237,8 +249,15 @@ let election_instance ~k ~n protocol =
     let n = Option.value ~default:(Protocols.Multi_election.capacity ~ks) n in
     Protocols.Multi_election.instance ~ks ~n
 
+let protocol_name = function
+  | `Perm -> "perm"
+  | `Cas -> "cas"
+  | `Bcl -> "bcl"
+  | `Multi -> "multi"
+
 let elect k seed protocol n crash trace_out metrics_out =
-  let instance = election_instance ~k ~n protocol in
+  with_instance (fun () -> election_instance ~k ~n protocol)
+  @@ fun instance ->
   Printf.printf "protocol: %s\n" instance.Protocols.Election.name;
   with_obs ~trace_out ~metrics_out (fun () ->
       let result =
@@ -275,10 +294,11 @@ let elect_cmd =
 
 (* --- explore --- *)
 
-(* Shared by explore, fuzz and replay: which executor runs the schedules.
-   [arena] is the hot path (compiled step programs + mutable arena store);
-   verdicts, statistics, decision sets and certificates are identical to
-   [persistent] — see Runtime.Engine.Machine. *)
+(* explore's executor.  [arena] is the hot path for exhaustive walks
+   (compiled step programs + mutable arena store); verdicts, statistics
+   and decision sets are identical to [persistent] — see
+   Runtime.Explore.Options.backend.  Fuzz and replay run forward only and
+   always use the persistent engine. *)
 let backend_arg =
   Arg.(
     value
@@ -291,25 +311,21 @@ let backend_arg =
         Runtime.Engine.Persistent
     & info [ "backend" ]
         ~doc:
-          "Execution backend: $(b,persistent) (immutable reference \
-           configurations) or $(b,arena) (compiled step programs over a \
-           mutable arena store with O(1) snapshot/undo — substantially \
-           faster; verdicts, statistics, decision sets and certificates \
-           are identical).  Composes with --dedup/--por/--static-por: the \
+          "Executor for the exhaustive walk: $(b,persistent) (immutable \
+           reference configurations; also the faster choice when a hook \
+           reads whole traces) or $(b,arena) (compiled step programs over \
+           a mutable arena store with undo on backtrack — substantially \
+           faster; verdicts, statistics and decision sets are \
+           identical).  Composes with --dedup/--por/--static-por: the \
            reduced walks run journal-free on the machine's flat arrays \
            with incrementally-maintained fingerprints (see DESIGN.md \
-           $(i,§7)).  Programs whose compiled form outgrows the node \
-           budget transparently fall back to closure interpretation.")
-
-let backend_verify_arg =
-  Arg.(
-    value & flag
-    & info [ "backend-verify" ]
-        ~doc:
-          "Debug: with --backend arena, shadow every machine step with the \
-           persistent reference engine and abort on the first divergence \
-           (works in every mode; forces the journaled reduced path when \
-           --dedup/--por is on).  Orders of magnitude slower.")
+           $(i,§7)); an instance with more than 31 processes runs the \
+           reduced walk on the persistent engine instead, because its \
+           sleep sets outgrow one machine word.  Programs whose \
+           compiled form outgrows the node budget transparently fall \
+           back to closure interpretation.  Fuzz and replay always run \
+           on the persistent engine: they move forward only, where the \
+           arena's undo buys nothing.")
 
 let explore_max_steps =
   Arg.(
@@ -407,9 +423,10 @@ let explore_hb_fields hb (p : Runtime.Explore.progress) =
   @ busy
 
 let explore k protocol n max_steps dedup por static_por domains crash_faults
-    backend backend_verify trace_out metrics_out prof progress progress_out
-    interval folded_out =
-  let instance = election_instance ~k ~n protocol in
+    backend trace_out metrics_out prof progress progress_out interval
+    folded_out =
+  with_instance (fun () -> election_instance ~k ~n protocol)
+  @@ fun instance ->
   Printf.printf "protocol: %s\n" instance.Protocols.Election.name;
   with_telemetry ~prof ~progress ~progress_out ~interval ~folded_out
   @@ fun hb ->
@@ -470,7 +487,6 @@ let explore k protocol n max_steps dedup por static_por domains crash_faults
               por = por || static_por;
               domains;
               backend;
-              verify_backend = backend_verify;
               footprints;
               on_lowering;
               progress = progress_cb;
@@ -519,9 +535,8 @@ let explore k protocol n max_steps dedup por static_por domains crash_faults
         | Runtime.Engine.Arena ->
           Printf.printf
             "backend:               arena (%d machines; %d compiled nodes, \
-             %d edge hits / %d misses, %d pids bailed to closures%s)\n"
-            !low_items !low_nodes !low_hits !low_misses !low_bailed
-            (if backend_verify then "; verified against persistent" else ""));
+             %d edge hits / %d misses, %d pids bailed to closures)\n"
+            !low_items !low_nodes !low_hits !low_misses !low_bailed);
         (0, None)
       | Error e ->
         Printf.printf "violation: %s\n" e;
@@ -538,9 +553,9 @@ let explore_cmd =
     Term.(
       const explore $ k_arg $ elect_protocol $ elect_n $ explore_max_steps
       $ explore_dedup $ explore_por $ explore_static_por $ explore_domains
-      $ explore_crash $ backend_arg $ backend_verify_arg $ trace_out_arg
-      $ metrics_out_arg $ prof_arg $ progress_arg $ progress_out_arg
-      $ progress_interval_arg $ folded_out_arg)
+      $ explore_crash $ backend_arg $ trace_out_arg $ metrics_out_arg
+      $ prof_arg $ progress_arg $ progress_out_arg $ progress_interval_arg
+      $ folded_out_arg)
 
 (* --- lint --- *)
 
@@ -628,12 +643,6 @@ let lint_register_budget =
 
 let lint_targets ~k ~n subject =
   let open Lepower_check in
-  let protocol_name = function
-    | `Perm -> "perm"
-    | `Cas -> "cas"
-    | `Bcl -> "bcl"
-    | `Multi -> "multi"
-  in
   let protocols subjects =
     List.map
       (fun p ->
@@ -690,6 +699,7 @@ let lint k n subject rules seeds exhaustive max_steps static register_budget
     jsonl_out repro_out shrink metrics_out prof progress progress_out interval
     folded_out =
   let open Lepower_check in
+  with_instance (fun () -> lint_targets ~k ~n subject) @@ fun targets ->
   with_telemetry ~prof ~progress ~progress_out ~interval ~folded_out
   @@ fun hb ->
   with_obs ~trace_out:None ~metrics_out @@ fun () ->
@@ -731,7 +741,7 @@ let lint k n subject rules seeds exhaustive max_steps static register_budget
         in
         base := !scheds;
         r)
-      (lint_targets ~k ~n subject)
+      targets
   in
   Option.iter
     (fun hb ->
@@ -911,9 +921,22 @@ let fuzz_hb_fields hb (p : Runtime.Fuzz.progress) =
   ]
 
 let fuzz k n subject flip sched depth starve_pid starve_steps runs seed faults
-    max_steps backend repro_out no_shrink metrics_out prof progress
-    progress_out interval folded_out =
+    max_steps repro_out no_shrink metrics_out prof progress progress_out
+    interval folded_out =
   let open Lepower_check in
+  let build () =
+    match subject with
+    | (`Perm | `Cas | `Bcl | `Multi) as p ->
+      let instance = election_instance ~k ~n p in
+      `Election
+        ( instance,
+          Repro_subject.election ~protocol:(protocol_name p) ~k
+            ~n:instance.Protocols.Election.n () )
+    | `Broken_swmr -> `Target (Lint.broken_swmr_fixture ~flip ())
+    | `Broken_cas -> `Target (Lint.broken_cas_fixture ?n ~flip ())
+    | `Spin -> `Target (Lint.spin_fixture ())
+  in
+  with_instance build @@ fun target ->
   with_telemetry ~prof ~progress ~progress_out ~interval ~folded_out
   @@ fun hb ->
   with_obs ~trace_out:None ~metrics_out @@ fun () ->
@@ -933,37 +956,14 @@ let fuzz k n subject flip sched depth starve_pid starve_steps runs seed faults
   let plan = if faults then Runtime.Faults.default else Runtime.Faults.none in
   let shrink = not no_shrink in
   let name, outcome =
-    match subject with
-    | (`Perm | `Cas | `Bcl | `Multi) as p ->
-      let instance = election_instance ~k ~n p in
-      let protocol =
-        match p with
-        | `Perm -> "perm"
-        | `Cas -> "cas"
-        | `Bcl -> "bcl"
-        | `Multi -> "multi"
-      in
-      let subject_json =
-        Repro_subject.election ~protocol ~k
-          ~n:instance.Protocols.Election.n ()
-      in
+    match target with
+    | `Election (instance, subject_json) ->
       ( instance.Protocols.Election.name,
         Protocols.Election.fuzz ~runs ~seed ?max_steps ~plan ~kind ~shrink
-          ~subject:subject_json ~backend ?progress:progress_cb instance )
-    | `Broken_swmr ->
-      let t = Lint.broken_swmr_fixture ~flip () in
+          ~subject:subject_json ?progress:progress_cb instance )
+    | `Target t ->
       ( t.Lint.name,
-        Lint.fuzz_target ~runs ~seed ?max_steps ~plan ~kind ~shrink ~backend
-          ?progress:progress_cb t )
-    | `Broken_cas ->
-      let t = Lint.broken_cas_fixture ?n ~flip () in
-      ( t.Lint.name,
-        Lint.fuzz_target ~runs ~seed ?max_steps ~plan ~kind ~shrink ~backend
-          ?progress:progress_cb t )
-    | `Spin ->
-      let t = Lint.spin_fixture () in
-      ( t.Lint.name,
-        Lint.fuzz_target ~runs ~seed ?max_steps ~plan ~kind ~shrink ~backend
+        Lint.fuzz_target ~runs ~seed ?max_steps ~plan ~kind ~shrink
           ?progress:progress_cb t )
   in
   Option.iter
@@ -978,10 +978,9 @@ let fuzz k n subject flip sched depth starve_pid starve_steps runs seed faults
             }))
     hb;
   Printf.printf "subject:  %s\n" name;
-  Printf.printf "sched:    %s  seed=%d  faults=%s  backend=%s\n"
+  Printf.printf "sched:    %s  seed=%d  faults=%s\n"
     (Runtime.Fuzz.kind_name kind) seed
-    (if faults then "on" else "off")
-    (Runtime.Engine.backend_name backend);
+    (if faults then "on" else "off");
   Printf.printf "runs:     %d (budget %d)  decisions=%d  injected=%d\n"
     outcome.Runtime.Fuzz.runs runs outcome.Runtime.Fuzz.steps
     outcome.Runtime.Fuzz.injected;
@@ -1027,10 +1026,9 @@ let fuzz_cmd =
     Term.(
       const fuzz $ k_arg $ elect_n $ fuzz_subject $ fuzz_flip $ fuzz_sched
       $ fuzz_depth $ fuzz_starve_pid $ fuzz_starve_steps $ fuzz_runs
-      $ seed_arg $ fuzz_faults $ fuzz_max_steps $ backend_arg
-      $ fuzz_repro_out $ fuzz_no_shrink $ metrics_out_arg $ prof_arg
-      $ progress_arg $ progress_out_arg $ progress_interval_arg
-      $ folded_out_arg)
+      $ seed_arg $ fuzz_faults $ fuzz_max_steps $ fuzz_repro_out
+      $ fuzz_no_shrink $ metrics_out_arg $ prof_arg $ progress_arg
+      $ progress_out_arg $ progress_interval_arg $ folded_out_arg)
 
 (* --- replay --- *)
 
@@ -1057,7 +1055,7 @@ let replay_out =
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Write the minimized certificate to $(docv) (with --shrink).")
 
-let replay cert_file shrink out backend trace_out metrics_out =
+let replay cert_file shrink out trace_out metrics_out =
   with_obs ~trace_out ~metrics_out @@ fun () ->
   match Runtime.Repro.load cert_file with
   | Error e ->
@@ -1080,8 +1078,7 @@ let replay cert_file shrink out backend trace_out metrics_out =
       if cert.Runtime.Repro.message <> "" then
         Printf.printf "failure:   %s\n" cert.Runtime.Repro.message;
       match
-        Runtime.Repro.replay ~backend cert
-          r.Lepower_check.Repro_subject.config
+        Runtime.Repro.replay cert r.Lepower_check.Repro_subject.config
       with
       | Error e ->
         Printf.printf "replay rejected: %s\n" e;
@@ -1137,8 +1134,8 @@ let replay_cmd =
           final configuration fingerprints bit-for-bit, and re-check the \
           failure.  Exit 0 iff the failure reproduces.")
     Term.(
-      const replay $ replay_cert $ replay_shrink $ replay_out $ backend_arg
-      $ trace_out_arg $ metrics_out_arg)
+      const replay $ replay_cert $ replay_shrink $ replay_out $ trace_out_arg
+      $ metrics_out_arg)
 
 (* --- emulate --- *)
 
@@ -1169,12 +1166,15 @@ let emulate_dump_tree =
         ~doc:"Print the final history structure T (Fig. 1) after the run.")
 
 let emulate k seed workload vps schedule dump_tree trace_out metrics_out =
-  let alg =
-    match workload with
-    | `Overcap -> Core.Workloads.over_capacity_cas_election ~k ~num_vps:vps
-    | `Cycling -> Core.Workloads.cycling ~k ~rounds:1 ~num_vps:vps
+  let build () =
+    let alg =
+      match workload with
+      | `Overcap -> Core.Workloads.over_capacity_cas_election ~k ~num_vps:vps
+      | `Cycling -> Core.Workloads.cycling ~k ~rounds:1 ~num_vps:vps
+    in
+    (alg, Core.Emulation.small_params ~k)
   in
-  let params = Core.Emulation.small_params ~k in
+  with_instance build @@ fun (alg, params) ->
   with_obs ~trace_out ~metrics_out @@ fun () ->
   let r = Core.Reduction.check ~seed ~schedule alg params in
   Format.printf "%a@." Core.Reduction.pp_report r;
@@ -1235,6 +1235,7 @@ let hierarchy_cmd =
 let game_m = Arg.(value & opt int 2 & info [ "m" ] ~doc:"Number of agents.")
 
 let game m k seed metrics_out =
+  with_instance (fun () -> Game.Board.create ~m ~k ()) @@ fun _board ->
   with_obs ~trace_out:None ~metrics_out @@ fun () ->
   let greedy, exact, bound = Game.Search.strategy_gap ~m ~k ~seed in
   Printf.printf "m=%d k=%d: greedy=%d exact=%d bound(m^k)=%d\n" m k greedy

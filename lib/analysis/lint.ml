@@ -518,7 +518,7 @@ let fixtures () = [ broken_swmr_fixture (); broken_cas_fixture (); spin_fixture 
 
 (* --- fuzzing ----------------------------------------------------------- *)
 
-let fuzz_target ?runs ?seed ?max_steps ?plan ?kind ?shrink ?backend ?progress
+let fuzz_target ?runs ?seed ?max_steps ?plan ?kind ?shrink ?progress
     (t : target) =
   let store = Memory.Store.create t.bindings in
   let n = List.length t.programs in
@@ -541,6 +541,6 @@ let fuzz_target ?runs ?seed ?max_steps ?plan ?kind ?shrink ?backend ?progress
         Some (Printf.sprintf "per-process step budget %d exceeded" t.budget)
       else None
   in
-  Runtime.Fuzz.campaign ?runs ?seed ~max_steps ?plan ?kind ?shrink ?backend
-    ?progress ~subject:t.subject ~failing (fun () ->
+  Runtime.Fuzz.campaign ?runs ?seed ~max_steps ?plan ?kind ?shrink ?progress
+    ~subject:t.subject ~failing (fun () ->
       Engine.init store t.programs)

@@ -148,7 +148,6 @@ val fuzz_target :
   ?plan:Runtime.Faults.plan ->
   ?kind:Runtime.Fuzz.sched_kind ->
   ?shrink:bool ->
-  ?backend:Runtime.Engine.backend ->
   ?progress:(Runtime.Fuzz.progress -> unit) ->
   target ->
   Runtime.Fuzz.outcome

@@ -4,7 +4,13 @@ module Cas_k = Objects.Cas_k
 
 let cas_loc = "C"
 
+(* Both workloads cycle through the k-1 non-bottom register values. *)
+let require_k fn k =
+  if k < 2 then
+    invalid_arg (Printf.sprintf "Workloads.%s: need k >= 2, got %d" fn k)
+
 let over_capacity_cas_election ~k ~num_vps =
+  require_k "over_capacity_cas_election" k;
   let program vp =
     let open Program in
     let mine = Value.int (vp mod (k - 1)) in
@@ -65,6 +71,7 @@ let rmw_via_cas ~k ~transforms ~rounds ~num_vps =
   }
 
 let cycling ~k ~rounds ~num_vps =
+  require_k "cycling" k;
   (* The value cycle ⊥ → 0 → 1 → … → (k−2) → ⊥. *)
   let succ = function
     | Sigma.Bot -> Sigma.V 0

@@ -18,12 +18,15 @@
       {!Emulation.of_election}. *)
 
 val over_capacity_cas_election : k:int -> num_vps:int -> Emulation.algorithm
+(** @raise Invalid_argument when [k < 2]: the register needs at least one
+    non-bottom value. *)
 
 val cycling : k:int -> rounds:int -> num_vps:int -> Emulation.algorithm
 (** v-process [i] repeatedly attempts [c&s(v_j → v_{j+1})] around the
     cycle ⊥ → 0 → 1 → … → (k−2) → ⊥ starting at phase [i mod k],
     retrying against whatever value it last saw, for [rounds] successful
-    operations, then decides its id. *)
+    operations, then decides its id.  @raise Invalid_argument when
+    [k < 2]. *)
 
 val rmw_via_cas :
   k:int -> transforms:(string * (Sigma.t -> Sigma.t)) list -> rounds:int ->

@@ -38,9 +38,8 @@ let poke t loc v =
   if Smap.mem loc t.specs then { t with states = Smap.add loc v t.states }
   else invalid_arg (Printf.sprintf "Store.poke: unknown location %S" loc)
 
-(* Shared between the persistent and arena [freeze]: the stuck-at wrapper
-   keeps the frozen state forever but still computes responses against it
-   through the original spec. *)
+(* The stuck-at wrapper keeps the frozen state forever but still computes
+   responses against it through the original spec. *)
 let is_stuck spec =
   String.length spec.Spec.type_name >= 6
   && String.sub spec.Spec.type_name 0 6 = "stuck("
@@ -79,7 +78,8 @@ let pp ppf t =
 module Arena = struct
   type store = t
 
-  type entry = J_state of int * Value.t | J_spec of int * Spec.t
+  (* One entry per overwritten state: the location id and its old value. *)
+  type entry = J_state of int * Value.t
 
   type t = {
     names : string array;  (* sorted — id order IS sorted-location order *)
@@ -124,7 +124,6 @@ module Arena = struct
   let loc_name a i = a.names.(i)
   let mem a loc = Hashtbl.mem a.index loc
   let state_at a i = a.states.(i)
-  let spec_at a i = a.specs.(i)
 
   let id_of_loc a loc =
     match Hashtbl.find a.index loc with
@@ -148,9 +147,8 @@ module Arena = struct
   let undo_to a m =
     while a.jlen > m do
       a.jlen <- a.jlen - 1;
-      match a.journal.(a.jlen) with
-      | J_state (i, v) -> a.states.(i) <- v
-      | J_spec (i, s) -> a.specs.(i) <- s
+      let (J_state (i, v)) = a.journal.(a.jlen) in
+      a.states.(i) <- v
     done
 
   let apply_id a ~pid i op =
@@ -178,7 +176,6 @@ module Arena = struct
   let write_state a i v = a.states.(i) <- v
 
   let states_view a = a.states
-  let specs_view a = a.specs
 
   let apply a ~pid loc op =
     match Hashtbl.find a.index loc with
@@ -189,25 +186,6 @@ module Arena = struct
     match Hashtbl.find a.index loc with
     | exception Not_found -> None
     | i -> Some a.states.(i)
-
-  let poke a loc v =
-    match Hashtbl.find a.index loc with
-    | exception Not_found ->
-      invalid_arg (Printf.sprintf "Store.poke: unknown location %S" loc)
-    | i ->
-      push a (J_state (i, a.states.(i)));
-      a.states.(i) <- v
-
-  let freeze a loc =
-    match Hashtbl.find a.index loc with
-    | exception Not_found ->
-      invalid_arg (Printf.sprintf "Store.freeze: unknown location %S" loc)
-    | i ->
-      let spec = a.specs.(i) in
-      if not (is_stuck spec) then begin
-        push a (J_spec (i, spec));
-        a.specs.(i) <- frozen_spec spec
-      end
 
   let state_bindings a =
     let acc = ref [] in

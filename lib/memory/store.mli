@@ -8,8 +8,7 @@
     arrays, mutated in place with an explicit undo journal.  The engine's
     compiled backend ([Engine.Machine]) runs on it; this persistent type
     stays the reference implementation, and the two are cross-checked
-    state-for-state in the test suite and behind the explorer's
-    [verify_backend] debug flag. *)
+    state-for-state in the test suite. *)
 
 type t
 
@@ -96,12 +95,6 @@ module Arena : sig
   val state_at : t -> int -> Value.t
   (** Current state of the object with interned id [i]. *)
 
-  val spec_at : t -> int -> Spec.t
-  (** Current spec of the object with interned id [i].  The arena only
-      replaces a spec via {!freeze} (journaled), so callers caching
-      derived data can use physical equality of the spec as a validity
-      witness. *)
-
   val id_of_loc : t -> string -> int option
   (** Interned id of a location name, if bound. *)
 
@@ -133,27 +126,13 @@ module Arena : sig
       the journal exactly like {!write_state} and carry the same
       obligation. *)
 
-  val specs_view : t -> Spec.t array
-  (** The live, id-indexed specs array (hot-loop counterpart of
-      {!spec_at}).  Read-only by convention: spec replacement must go
-      through {!freeze} so it is journaled. *)
-
   val peek : t -> string -> Value.t option
-
-  val poke : t -> string -> Value.t -> unit
-  (** Journaled, like {!apply}.  @raise Invalid_argument on an unknown
-      location (same message as the persistent [poke]). *)
-
-  val freeze : t -> string -> unit
-  (** Stuck-at fault, same semantics as the persistent [freeze]
-      (idempotent; the spec replacement is journaled and undone by
-      {!undo_to}). *)
 
   val mark : t -> int
   (** The current journal position — an O(1) snapshot token. *)
 
   val undo_to : t -> int -> unit
-  (** Pop the journal back to a {!mark}, restoring every state and spec
+  (** Pop the journal back to a {!mark}, restoring every state
       overwritten since.  Cost: O(entries popped); each entry was O(1)
       to record, so a DFS pays O(1) amortized per step. *)
 

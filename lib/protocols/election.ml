@@ -152,8 +152,7 @@ let explore_repro ?(options = Runtime.Explore.Options.default) ?subject t
     in
     Error (v, cert)
 
-let fuzz ?runs ?seed ?max_steps ?plan ?kind ?shrink ?subject ?backend ?progress
-    t =
+let fuzz ?runs ?seed ?max_steps ?plan ?kind ?shrink ?subject ?progress t =
   let max_steps =
     Option.value ~default:((t.step_bound * t.n * 2) + 1000) max_steps
   in
@@ -165,7 +164,7 @@ let fuzz ?runs ?seed ?max_steps ?plan ?kind ?shrink ?subject ?backend ?progress
     match check_partial t view with Ok () -> None | Error m -> Some m
   in
   Runtime.Fuzz.campaign ?runs ?seed ~max_steps ?plan ?kind ?shrink ?subject
-    ?backend ?progress ~failing (fun () -> config t)
+    ?progress ~failing (fun () -> config t)
 
 let explore_stats ?options t ~max_steps =
   match explore_repro ?options t ~max_steps with

@@ -119,7 +119,6 @@ val fuzz :
   ?kind:Runtime.Fuzz.sched_kind ->
   ?shrink:bool ->
   ?subject:Lepower_obs.Json.t ->
-  ?backend:Runtime.Engine.backend ->
   ?progress:(Runtime.Fuzz.progress -> unit) ->
   instance ->
   Runtime.Fuzz.outcome

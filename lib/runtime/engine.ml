@@ -279,11 +279,9 @@ module Machine = struct
      table after a brief warm-up and the hot path skips the spec closure
      (operation decoding, alphabet scans) and both hash lookups.
 
-     Validity: an entry speaks for the spec it was built against.  The
-     arena only ever swaps a location's spec via [freeze] (journalled,
-     so undo restores the original object), hence the physical witness
-     [x_spec]; on mismatch the memo is rebuilt for the current spec.
-     Faulting and inline-fallback outcomes are never memoized. *)
+     Validity: an arena never replaces a location's spec, so an entry
+     stays valid for the machine's lifetime.  Faulting and
+     inline-fallback outcomes are never memoized. *)
   type xout = {
     x_state' : Value.t;
     x_result : Value.t;
@@ -295,7 +293,6 @@ module Machine = struct
     x_loc : int;  (* interned arena id of the instruction's location *)
     x_loc_name : string;
     x_op : Value.t;
-    x_spec : Memory.Spec.t;  (* physical validity witness *)
     mutable x_n : int;
     mutable x_keys : Value.t array;  (* pre-states, scanned linearly *)
     mutable x_outs : xout array;
@@ -439,7 +436,6 @@ module Machine = struct
           x_loc = li;
           x_loc_name = loc;
           x_op = Program.Compiled.op_value_at cp id;
-          x_spec = Memory.Store.Arena.spec_at m.arena li;
           x_n = 0;
           x_keys = [||];
           x_outs = [||];
@@ -585,12 +581,8 @@ module Machine = struct
           let xa = memo_slot m pid id in
           let x =
             match xa.(id) with
-            | Some x
-              when Memory.Store.Arena.spec_at m.arena x.x_loc == x.x_spec ->
-              Some x
-            | _ ->
-              (* first visit, or the spec changed (freeze/undo): build
-                 a fresh memo for the spec currently in force *)
+            | Some _ as x -> x
+            | None ->
               let x = memo_seed m cp id in
               xa.(id) <- x;
               x
@@ -648,12 +640,6 @@ module Machine = struct
       push m m.j_statuses.(pid)
     end
 
-  let step_lost m pid =
-    let smark = Memory.Store.Arena.mark m.arena in
-    step m pid;
-    Memory.Store.Arena.undo_to m.arena smark
-
-  let freeze m loc = Memory.Store.Arena.freeze m.arena loc
   let mark m = m.jlen
 
   let undo_to m mk =
@@ -699,7 +685,6 @@ module Machine = struct
     let statuses = m.statuses and pcs = m.pcs and steps = m.steps in
     let arena = m.arena in
     let sarr = Memory.Store.Arena.states_view arena in
-    let specs = Memory.Store.Arena.specs_view arena in
     let metrics_on = Obs.Metrics.is_enabled () in
     (* [running] is threaded through the recursion so leaves need no
        status scan at all; every status flip below adjusts it. *)
@@ -733,8 +718,7 @@ module Machine = struct
                    (* a memo only ever exists for non-[Done] nodes, so
                       the [is_done] dispatch is implicit here *)
                    match Array.unsafe_get xa pcv with
-                   | Some x when Array.unsafe_get specs x.x_loc == x.x_spec
-                     -> (
+                   | Some x -> (
                      let st = Array.unsafe_get sarr x.x_loc in
                      let k = memo_find x st 0 in
                      if k < 0 then false
@@ -822,7 +806,6 @@ module Machine = struct
     let statuses = m.statuses and pcs = m.pcs and steps = m.steps in
     let arena = m.arena in
     let sarr = Memory.Store.Arena.states_view arena in
-    let specs = Memory.Store.Arena.specs_view arena in
     let metrics_on = Obs.Metrics.is_enabled () in
     let running0 = ref 0 in
     for pid = 0 to n - 1 do
@@ -857,8 +840,7 @@ module Machine = struct
                  if pcv >= Array.length xa then false
                  else
                    match Array.unsafe_get xa pcv with
-                   | Some x when Array.unsafe_get specs x.x_loc == x.x_spec
-                     -> (
+                   | Some x -> (
                      let st = Array.unsafe_get sarr x.x_loc in
                      let k = memo_find x st 0 in
                      if k < 0 then false
@@ -927,10 +909,6 @@ module Machine = struct
     in
     go depth0 0 !running0
 
-  let last_step_event m = m.last_valid
-  let last_loc m = m.last_loc
-  let last_op m = m.last_op
-  let last_result m = m.last_result
   let last_old_state m = Memory.Store.Arena.last_old_state m.arena
 
   let last_new_state m =
@@ -988,8 +966,7 @@ module Machine = struct
         if pcv >= Array.length xa then false
         else
           match xa.(pcv) with
-          | Some x when Memory.Store.Arena.spec_at m.arena x.x_loc == x.x_spec
-            -> (
+          | Some x -> (
             let sarr = Memory.Store.Arena.states_view m.arena in
             let st = sarr.(x.x_loc) in
             let k = memo_find x st 0 in
@@ -1208,55 +1185,17 @@ module Machine = struct
     }
 
   let reports m = Array.map Program.Compiled.report m.progs
-
-  let run ?(max_steps = 1_000_000) ~sched m =
-    let rec go () =
-      if m.time >= max_steps then outcome_of ~hit_step_limit:true (config m)
-      else
-        match enabled m with
-        | [] -> outcome_of ~hit_step_limit:false (config m)
-        | pids ->
-          let pid =
-            let tok = Lepower_prof.Phase.enter ph_choose in
-            let pid = sched.Sched.choose ~time:m.time ~enabled:pids in
-            Lepower_prof.Phase.leave tok;
-            pid
-          in
-          if not (List.mem pid pids) then
-            outcome_of ~hit_step_limit:false (config m)
-          else begin
-            sched.Sched.observe ~time:m.time ~pid;
-            step m pid;
-            go ()
-          end
-    in
-    Obs.Metrics.incr m_runs;
-    Obs.Span.with_span "engine.run"
-      ~args:
-        [
-          ("procs", Obs.Json.Int (n_procs m));
-          ("sched", Obs.Json.String sched.Sched.name);
-        ]
-      (fun () ->
-        let outcome = go () in
-        if Obs.Metrics.is_enabled () then
-          Array.iter
-            (fun (p : Proc.t) ->
-              Obs.Metrics.observe h_steps_per_proc (Float.of_int p.Proc.steps))
-            outcome.final.procs;
-        outcome)
 end
 
 module Config_view = struct
   type impl =
     | V_config of config
-    | V_machine of Machine.t
     | V_flat of Machine.t * (unit -> config)
-        (* live machine driven by [Machine.walk_naive_checked]: flat
-           accessors read the machine arrays directly, but the journal
-           does not cover memo-hit steps, so anything trace-shaped must
-           come from the replay thunk (the explorer replays the recorded
-           move path from the walk's root configuration) *)
+        (* live machine: flat accessors read the machine arrays
+           directly, anything trace-shaped comes from the materializer
+           ([Machine.config] for a journaled machine; for the explorer's
+           journal-free walks, a replay of the recorded move path from
+           the walk's root configuration) *)
 
   type t = {
     impl : impl;
@@ -1271,33 +1210,31 @@ module Config_view = struct
     { impl = V_config c; ordered = false; cached_trace = None;
       cached_config = Some c }
 
-  let of_machine m =
-    { impl = V_machine m; ordered = false; cached_trace = None;
-      cached_config = None }
-
   let of_machine_flat m ~replay =
     { impl = V_flat (m, replay); ordered = false; cached_trace = None;
       cached_config = None }
 
+  let of_machine m = of_machine_flat m ~replay:(fun () -> Machine.config m)
+
   let n_procs v =
     match v.impl with
     | V_config c -> Array.length c.procs
-    | V_machine m | V_flat (m, _) -> Machine.n_procs m
+    | V_flat (m, _) -> Machine.n_procs m
 
   let time v =
     match v.impl with
     | V_config c -> c.time
-    | V_machine m | V_flat (m, _) -> Machine.time m
+    | V_flat (m, _) -> Machine.time m
 
   let status v pid =
     match v.impl with
     | V_config c -> c.procs.(pid).Proc.status
-    | V_machine m | V_flat (m, _) -> Machine.status m pid
+    | V_flat (m, _) -> Machine.status m pid
 
   let is_running v pid =
     match v.impl with
     | V_config c -> Proc.is_running c.procs.(pid)
-    | V_machine m | V_flat (m, _) -> Machine.is_running m pid
+    | V_flat (m, _) -> Machine.is_running m pid
 
   (* The per-pid accessors below are specialized per implementation
      rather than layered on [status]: checkers run them on every
@@ -1311,7 +1248,7 @@ module Config_view = struct
       let n = Array.length procs in
       let rec go pid = pid < n && (Proc.is_running procs.(pid) || go (pid + 1)) in
       go 0
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       let st = m.Machine.statuses in
       let n = Array.length st in
       let rec go pid =
@@ -1322,7 +1259,7 @@ module Config_view = struct
   let steps v pid =
     match v.impl with
     | V_config c -> c.procs.(pid).Proc.steps
-    | V_machine m | V_flat (m, _) -> m.Machine.steps.(pid)
+    | V_flat (m, _) -> m.Machine.steps.(pid)
 
   (* [steps pid > 0] iff pid has a trace event: both backends record an
      event exactly when they increment [steps] (decide steps and
@@ -1351,7 +1288,7 @@ module Config_view = struct
           if s > bound then Some (pid, s) else go (pid + 1)
       in
       go 0
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       let steps = m.Machine.steps in
       let n = Array.length steps in
       let rec go pid =
@@ -1368,7 +1305,7 @@ module Config_view = struct
       match c.procs.(pid).Proc.status with
       | Proc.Decided x -> Some x
       | _ -> None)
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       if m.Machine.statuses.(pid) = Machine.st_decided then
         Some m.Machine.decided.(pid)
       else None
@@ -1392,7 +1329,7 @@ module Config_view = struct
         | _ -> ()
       done;
       !acc
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       let st = m.Machine.statuses in
       let acc = ref [] in
       for pid = Array.length st - 1 downto 0 do
@@ -1421,7 +1358,7 @@ module Config_view = struct
           | _ -> go acc (pid + 1)
       in
       go [] 0
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       let st = m.Machine.statuses in
       let d = m.Machine.decided in
       let n = Array.length st in
@@ -1445,7 +1382,7 @@ module Config_view = struct
         | _ -> ()
       done;
       !acc
-    | V_machine m | V_flat (m, _) ->
+    | V_flat (m, _) ->
       let st = m.Machine.statuses in
       let acc = ref [] in
       for pid = Array.length st - 1 downto 0 do
@@ -1457,23 +1394,22 @@ module Config_view = struct
   let store_state v loc =
     match v.impl with
     | V_config c -> Memory.Store.peek c.store loc
-    | V_machine m | V_flat (m, _) -> Memory.Store.Arena.peek m.Machine.arena loc
+    | V_flat (m, _) -> Memory.Store.Arena.peek m.Machine.arena loc
 
   let mem_loc v loc =
     match v.impl with
     | V_config c -> Memory.Store.peek c.store loc <> None
-    | V_machine m | V_flat (m, _) -> Machine.mem_loc m loc
+    | V_flat (m, _) -> Machine.mem_loc m loc
 
   let state_bindings v =
     match v.impl with
     | V_config c -> Memory.Store.state_bindings c.store
-    | V_machine m | V_flat (m, _) -> Machine.state_bindings m
+    | V_flat (m, _) -> Machine.state_bindings m
 
   (* Materialize the persistent configuration behind this view without
-     marking an order access: the order-free projections of a flat view
-     ([trace_length], [events_of]) need the replayed trace — the live
-     machine's journal misses memo-hit steps — but exposing them must
-     not trip the soundness guard. *)
+     marking an order access: the order-free projections of a machine
+     view ([trace_length], [events_of]) need the materialized trace, but
+     exposing them must not trip the soundness guard. *)
   let materialize v =
     match v.cached_config with
     | Some c -> c
@@ -1481,62 +1417,22 @@ module Config_view = struct
       let c =
         match v.impl with
         | V_config c -> c
-        | V_machine m -> Machine.config m
         | V_flat (_, replay) -> replay ()
       in
       v.cached_config <- Some c;
       c
 
-  let trace_length v =
-    match v.impl with
-    | V_config c -> List.length c.trace
-    | V_flat _ -> List.length (materialize v).trace
-    | V_machine m ->
-      let n = ref (List.length m.Machine.base_trace) in
-      for i = 0 to m.Machine.jlen - 1 do
-        match m.Machine.journal.(i) with
-        | Machine.J_event _ -> incr n
-        | Machine.J_status _ -> ()
-      done;
-      !n
+  let trace_length v = List.length (materialize v).trace
 
   let events_of v pid =
     (* Per-pid projection, chronological.  Deliberately does {e not}
        set [ordered]: a single process's own operations keep their
        relative order under any commutation of independent steps, so
        projections stay sound under dedup/POR. *)
-    match v.impl with
-    | V_config c ->
-      List.rev
-        (List.filter (fun (e : Trace.event) -> e.Trace.pid = pid) c.trace)
-    | V_flat _ ->
-      List.rev
-        (List.filter
-           (fun (e : Trace.event) -> e.Trace.pid = pid)
-           (materialize v).trace)
-    | V_machine m ->
-      let base =
-        List.rev
-          (List.filter
-             (fun (e : Trace.event) -> e.Trace.pid = pid)
-             m.Machine.base_trace)
-      in
-      let acc = ref [] in
-      for i = m.Machine.jlen - 1 downto 0 do
-        match m.Machine.journal.(i) with
-        | Machine.J_event e when e.pid = pid ->
-          acc :=
-            {
-              Trace.time = e.time;
-              pid = e.pid;
-              loc = e.loc;
-              op = e.op;
-              result = e.result;
-            }
-            :: !acc
-        | _ -> ()
-      done;
-      base @ !acc
+    List.rev
+      (List.filter
+         (fun (e : Trace.event) -> e.Trace.pid = pid)
+         (materialize v).trace)
 
   let order_accessed v = v.ordered
 
@@ -1545,55 +1441,13 @@ module Config_view = struct
     match v.cached_trace with
     | Some t -> t
     | None ->
-      let t =
-        match v.impl with
-        | V_config c -> List.rev c.trace
-        | V_flat _ -> List.rev (materialize v).trace
-        | V_machine m ->
-          let rev = ref m.Machine.base_trace in
-          for i = 0 to m.Machine.jlen - 1 do
-            match m.Machine.journal.(i) with
-            | Machine.J_event e ->
-              rev :=
-                {
-                  Trace.time = e.time;
-                  pid = e.pid;
-                  loc = e.loc;
-                  op = e.op;
-                  result = e.result;
-                }
-                :: !rev
-            | Machine.J_status _ -> ()
-          done;
-          List.rev !rev
-      in
+      let t = List.rev (materialize v).trace in
       v.cached_trace <- Some t;
       t
 
   let last_event v =
     v.ordered <- true;
-    match v.impl with
-    | V_config c -> (match c.trace with e :: _ -> Some e | [] -> None)
-    | V_flat _ -> (
-      match (materialize v).trace with e :: _ -> Some e | [] -> None)
-    | V_machine m ->
-      let rec scan i =
-        if i < 0 then
-          match m.Machine.base_trace with e :: _ -> Some e | [] -> None
-        else
-          match m.Machine.journal.(i) with
-          | Machine.J_event e ->
-            Some
-              {
-                Trace.time = e.time;
-                pid = e.pid;
-                loc = e.loc;
-                op = e.op;
-                result = e.result;
-              }
-          | Machine.J_status _ -> scan (i - 1)
-      in
-      scan (m.Machine.jlen - 1)
+    match (materialize v).trace with e :: _ -> Some e | [] -> None
 
   let config v =
     v.ordered <- true;

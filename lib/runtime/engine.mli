@@ -17,11 +17,14 @@ type config = {
 }
 
 (** Which implementation executes steps.  [Persistent] is the reference:
-    pure functions over {!config}.  [Arena] is the hot path: a
-    {!Machine} over a mutable {!Memory.Store.Arena} with compiled
-    programs and an undo journal.  The two are step-for-step
-    equivalent; [Explore]/[Fuzz]/[Repro] take a backend option and
-    guarantee identical verdicts, decision sets, and replay digests. *)
+    pure functions over {!config}.  [Arena] is the hot path for
+    exhaustive walks: a {!Machine} over a mutable
+    {!Memory.Store.Arena} with compiled programs and undo on backtrack.
+    The two are step-for-step equivalent.  [Explore] takes a backend
+    option and guarantees identical verdicts, statistics and decision
+    sets.  Fuzz campaigns and certificate replay run forward only, with
+    no backtracking to amortize the lowering, and use the persistent
+    engine alone. *)
 type backend = Persistent | Arena
 
 val backend_name : backend -> string
@@ -94,8 +97,8 @@ val config_equal : config -> config -> bool
     states (specs assumed equal), per-process status and step counts,
     the clock, and the full trace with [time]/[pid] stamps.  Process
     programs — closures — are {e not} compared; by program determinism
-    equal traces imply equal continuations.  Used by the explorer's
-    [verify_backend] lockstep mode and the cross-backend tests. *)
+    equal traces imply equal continuations.  Used by the cross-backend
+    tests. *)
 
 (** The mutable execution machine: the [Arena] backend.
 
@@ -132,7 +135,6 @@ module Machine : sig
   (** Pids still [Running], ascending — same as the persistent
       {!Engine.enabled}. *)
 
-  val mem_loc : t -> string -> bool
   val state_bindings : t -> (string * Memory.Value.t) list
 
   val step : t -> int -> unit
@@ -140,12 +142,6 @@ module Machine : sig
       Same semantics as the persistent {!Engine.step}. *)
 
   val crash : t -> int -> unit
-  val step_lost : t -> int -> unit
-
-  val freeze : t -> string -> unit
-  (** Stuck-at fault.  Journaled in the {e arena} but not as a machine
-      step, so only replay/fuzz (which never backtrack) may use it;
-      a machine {!undo_to} across a freeze would not restore it. *)
 
   val mark : t -> int
   (** O(1) snapshot token: the machine journal position. *)
@@ -221,29 +217,6 @@ module Machine : sig
       [slot] the arena location id — equal slots iff equal location
       names. *)
 
-  (** {2 Last-step delta}
-
-      After a {!step} that performed a store operation, these expose
-      its single-binding effect without allocation, so the explorer
-      maintains incremental {!Fingerprint} sums.  Valid only until the
-      next step or undo ({!last_step_event} says whether they are). *)
-
-  val last_step_event : t -> bool
-  (** Whether the most recent {!step} performed a store operation (false
-      after a decide step, a store-rejected fault, or an undo). *)
-
-  val last_loc : t -> string
-  val last_op : t -> Memory.Value.t
-  val last_result : t -> Memory.Value.t
-
-  val last_old_state : t -> Memory.Value.t
-  (** State of [last_loc]'s object before the operation. *)
-
-  val last_new_state : t -> Memory.Value.t
-  (** Its state now.  After {!step_lost} this equals {!last_old_state}
-      (the write evaporated), which keeps incremental store sums
-      correct with no special case. *)
-
   (** {2 Journal-free single-step frames}
 
       The building block of the reduced (dedup / sleep-set POR) arena
@@ -255,9 +228,8 @@ module Machine : sig
       journaled step with the frame holding only the journal mark.
       The [frame_*] accessors expose the step's single-binding store
       delta uniformly across both paths, so callers can maintain
-      incremental {!Fingerprint} sums without touching the machine's
-      {!last_step_event} scratch.  Frames are reusable; undo them in
-      strict LIFO order. *)
+      incremental {!Fingerprint} sums.  Frames are reusable; undo them
+      in strict LIFO order. *)
 
   type frame
   (** Mutable undo record for one step.  Reusable across moves at the
@@ -281,7 +253,7 @@ module Machine : sig
   val frame_step_event : t -> frame -> bool
   (** Whether the frame's step performed a store operation (memo hits
       always do; a slow-path decide step or store-rejected fault does
-      not).  The frame analogue of {!last_step_event}. *)
+      not). *)
 
   val frame_loc : t -> frame -> string
   (** Location the frame's step operated on. *)
@@ -337,12 +309,9 @@ module Machine : sig
   val config : t -> config
   (** Materialize the current state as a persistent configuration
       (store, procs with [prim] programs, clock, full reverse-chron
-      trace).  O(locs + procs + events since [of_config]). *)
-
-  val run : ?max_steps:int -> sched:Sched.t -> t -> outcome
-  (** Drive the machine like the persistent {!Engine.run} — same
-      scheduler protocol, halt rules, span, and metrics — returning the
-      same outcome the persistent engine would. *)
+      trace).  O(locs + procs + events since [of_config]).  The trace
+      comes from the journal, so it covers only {!step}/{!crash} moves,
+      not the journal-free {!walk_naive}/{!step_frame} ones. *)
 
   val reports : t -> Program.Compiled.report array
   (** Per-process lowering reports (indexed by pid). *)
@@ -351,15 +320,16 @@ end
 (** Backend-neutral read-only view of a terminal (or intermediate)
     configuration — the one type every checker-facing hook takes.
 
-    A view over a persistent {!config} just reads the record.  A view
-    over an arena {!Machine} serves every accessor below straight from
-    the machine's flat arrays and arena store — {b no} journal walk, no
-    store rebuild — except the explicitly materializing ones
-    ({!Config_view.trace}, {!Config_view.last_event},
-    {!Config_view.config}), which are the slow fallback.
+    There are two implementations.  A view over a persistent {!config}
+    just reads the record.  A view over an arena {!Machine} serves the
+    flat accessors below straight from the machine's arrays and arena
+    store, and obtains everything trace-shaped from a materializer
+    that builds the persistent configuration once, cached: either
+    {!Machine.config} ({!Config_view.of_machine}) or a replay of the
+    walk's move path ({!Config_view.of_machine_flat}).
 
     Cost contract (arena-backed view; persistent is O(1)/O(procs)
-    throughout):
+    except for the trace-shaped accessors, which are O(events)):
     - O(1): {!Config_view.n_procs}, {!Config_view.time},
       {!Config_view.status}, {!Config_view.is_running},
       {!Config_view.steps}, {!Config_view.stepped},
@@ -370,10 +340,10 @@ end
       {!Config_view.faults}, {!Config_view.over_step_bound},
       {!Config_view.max_steps_per_proc}.
     - O(locs): {!Config_view.state_bindings}.
-    - O(events): {!Config_view.trace_length}, {!Config_view.events_of}.
-    - Materializing (O(events + locs + procs), allocates):
-      {!Config_view.trace}, {!Config_view.last_event},
-      {!Config_view.config} — cached after the first call.
+    - Materializing (O(events + locs + procs), allocates, cached after
+      the first call): {!Config_view.trace_length},
+      {!Config_view.events_of}, {!Config_view.trace},
+      {!Config_view.last_event}, {!Config_view.config}.
 
     Order tracking: {!Config_view.trace}, {!Config_view.last_event} and
     {!Config_view.config} expose the global interleaving order and mark
@@ -395,13 +365,15 @@ module Config_view : sig
       argument itself). *)
 
   val of_machine : Machine.t -> t
-  (** Zero-copy arena view.  Borrow: valid until the machine moves. *)
+  (** Zero-copy view over a machine driven by {!Machine.step} and
+      {!Machine.crash}: [of_machine_flat m ~replay:(fun () ->
+      Machine.config m)].  Borrow: valid until the machine moves. *)
 
   val of_machine_flat : Machine.t -> replay:(unit -> config) -> t
-  (** Zero-copy view over a machine driven by
-      {!Machine.walk_naive_checked}, whose journal does not cover
-      memo-hit steps.  Flat accessors (statuses, decisions, steps,
-      store state) read the machine arrays directly; trace-shaped
+  (** Zero-copy view over a machine whose journal does not cover every
+      move, such as one driven by {!Machine.walk_naive_checked} or
+      {!Machine.step_frame}.  Flat accessors (statuses, decisions,
+      steps, store state) read the machine arrays directly; trace-shaped
       accessors ({!trace}, {!last_event}, {!config}, {!trace_length},
       {!events_of}) materialize a persistent configuration by calling
       [replay] — typically the explorer replaying the walk's recorded

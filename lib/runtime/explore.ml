@@ -56,7 +56,6 @@ module Options = struct
     por : bool;
     domains : int;
     backend : Engine.backend;
-    verify_backend : bool;
     footprints : (string list * string list) array;
     analyze : (Engine.Config_view.t -> unit) option;
     on_terminal : (Engine.Config_view.t -> unit) option;
@@ -73,7 +72,6 @@ module Options = struct
       por = false;
       domains = 1;
       backend = Engine.Persistent;
-      verify_backend = false;
       footprints = [||];
       analyze = None;
       on_terminal = None;
@@ -156,33 +154,35 @@ let sleep_inter a b = List.filter (fun m -> sleep_mem m b) a
 (* ------------------------------------------------------------------ *)
 (* Internal knobs and mutable accumulators.                           *)
 
+(* The walker that runs every DFS item of one exploration: the
+   persistent [explore_seq], or one of the two arena walks.  Reduced
+   arena runs whose sleep set would not fit one int bitset ([Step_m p]
+   at bit [p], [Crash_m p] at bit [n + p], so [2n <= 62]) take
+   [explore_seq]: same stats, no lowering. *)
+type walker = Seq | Arena_naive | Arena_reduced
+
 type opts = {
   o_max_steps : int;
   o_crash_faults : bool;
   o_dedup : bool;
   o_por : bool;
-  o_backend : Engine.backend;
-  o_verify : bool;
-  o_reduced : bool;
-      (* Arena + (dedup or por), no lockstep shadow, and the move
-         alphabet fits an int bitset: dispatch reduced exploration to
-         the journal-free bitset walk. *)
+  o_walker : walker;
   o_fast : bool array array option;
 }
 
 let opts_of (options : Options.t) ~n_procs =
+  let reduced = options.Options.dedup || options.Options.por in
   {
     o_max_steps = options.Options.max_steps;
     o_crash_faults = options.Options.crash_faults;
     o_dedup = options.Options.dedup;
     o_por = options.Options.por;
-    o_backend = options.Options.backend;
-    o_verify = options.Options.verify_backend;
-    o_reduced =
-      options.Options.backend = Engine.Arena
-      && (options.Options.dedup || options.Options.por)
-      && (not options.Options.verify_backend)
-      && 2 * n_procs <= 62;
+    o_walker =
+      (match options.Options.backend with
+      | Engine.Persistent -> Seq
+      | Engine.Arena when not reduced -> Arena_naive
+      | Engine.Arena when 2 * n_procs <= 62 -> Arena_reduced
+      | Engine.Arena -> Seq);
     o_fast = fast_matrix options.Options.footprints;
   }
 
@@ -289,20 +289,19 @@ let rtbl_add tbl m histories h sleep =
     :: tbl.r_buckets.(i);
   tbl.r_count <- tbl.r_count + 1
 
-(* Visited-set representation, fixed per run by [opts]: the reference
-   walks ([explore_seq], [explore_seq_arena]) store the sleep set at
-   first visit as a move list keyed by full fingerprints; the reduced
-   arena walk uses the snapshot table above.  Dispatch depends on
-   [opts] alone — never on a particular DFS item — so workers can pick
-   the representation before seeing any work and share one table
-   across their frontier items. *)
+(* Visited-set representation, fixed per run by [opts]: [explore_seq]
+   stores the sleep set at first visit as a move list keyed by full
+   fingerprints; the reduced arena walk uses the snapshot table above.
+   Dispatch depends on [opts] alone — never on a particular DFS item —
+   so workers can pick the representation before seeing any work and
+   share one table across their frontier items. *)
 type visited_tbl =
   | V_lists of move list Fingerprint.Tbl.t
   | V_bits of rtbl
 
 let visited_create opts size =
   if not opts.o_dedup then None
-  else if opts.o_reduced then Some (V_bits (rtbl_create size))
+  else if opts.o_walker = Arena_reduced then Some (V_bits (rtbl_create size))
   else Some (V_lists (Fingerprint.Tbl.create size))
 
 let visited_lists = function Some (V_lists t) -> Some t | _ -> None
@@ -469,198 +468,6 @@ let explore_seq ~opts ~acc ?tick ~visited ~analyze ~on_terminal ~on_truncated
   in
   go config0 histories0 depth0 rpath0 []
 
-(* ------------------------------------------------------------------ *)
-(* The same DFS on the arena backend: one Engine.Machine per frontier  *)
-(* item, mutated on descent and journal-popped on backtrack.  Every    *)
-(* counter, callback, traversal order and pruning decision is the same *)
-(* as [explore_seq]'s — the two must agree config-for-config, which    *)
-(* the cross-backend tests and the [verify_backend] lockstep shadow    *)
-(* enforce.  Configurations are only materialized at leaves that have  *)
-(* callbacks; fingerprint sums are maintained incrementally from the   *)
-(* machine's step deltas.                                              *)
-
-let move_access_m m = function
-  | Crash_m _ -> None
-  | Step_m pid -> Engine.Machine.access m pid
-
-let independent_m m m1 m2 =
-  move_pid m1 <> move_pid m2
-  &&
-  match (move_access_m m m1, move_access_m m m2) with
-  | None, _ | _, None -> true
-  | Some (l1, r1), Some (l2, r2) -> (not (String.equal l1 l2)) || (r1 && r2)
-
-let explore_seq_arena ~opts ~acc ?tick ~visited ~analyze ~on_terminal
-    ~on_truncated (config0, histories0, depth0, rpath0) =
-  let m = Engine.Machine.of_config config0 in
-  let n = Engine.Machine.n_procs m in
-  (* Frame-local save/restore instead of [explore_seq]'s copy-per-step:
-     one histories array for the whole item. *)
-  let histories = Array.copy histories0 in
-  let store_sum = ref 0 and proc_sum = ref 0 in
-  (if opts.o_dedup then begin
-     let s, p = Fingerprint.sums config0 histories0 in
-     store_sum := s;
-     proc_sum := p
-   end);
-  let verify shadow =
-    match shadow with
-    | None -> ()
-    | Some c ->
-      if not (Engine.config_equal c (Engine.Machine.config m)) then
-        failwith
-          (Printf.sprintf
-             "Explore: arena backend diverged from the persistent reference \
-              at time %d (verify_backend)"
-             (Engine.Machine.time m))
-  in
-  let rec go depth rpath sleep shadow =
-    verify shadow;
-    if depth > acc.a_max_depth then acc.a_max_depth <- depth;
-    let enabled = Engine.Machine.enabled m in
-    let leaf = enabled = [] || depth >= opts.o_max_steps in
-    let proceed sleep =
-      acc.a_configs <- acc.a_configs + 1;
-      if acc.a_configs land 8191 = 0 then
-        (match tick with Some f -> f acc | None -> ());
-      match enabled with
-      | [] ->
-        (match (analyze, on_terminal) with
-        | None, None -> acc.a_terminals <- acc.a_terminals + 1
-        | _ ->
-          (* Zero-copy: the hooks read the machine's live state through
-             the view; nothing is materialized unless they ask. *)
-          let view = Engine.Config_view.of_machine m in
-          let path () = rpath in
-          (match analyze with None -> () | Some f -> f view path);
-          acc.a_terminals <- acc.a_terminals + 1;
-          (match on_terminal with None -> () | Some f -> f view path))
-      | _ when depth >= opts.o_max_steps ->
-        acc.a_truncated <- acc.a_truncated + 1;
-        (match on_truncated with
-        | None -> ()
-        | Some f -> f (Engine.Config_view.of_machine m) (fun () -> rpath))
-      | pids ->
-        if (match pids with _ :: _ :: _ -> true | _ -> opts.o_crash_faults)
-        then acc.a_choice_points <- acc.a_choice_points + 1;
-        let rec loop sleep explored = function
-          | [] -> ()
-          | mv :: rest ->
-            if sleep_mem mv sleep then begin
-              acc.a_pruned <- acc.a_pruned + 1;
-              loop sleep explored rest
-            end
-            else begin
-              let child_sleep =
-                if opts.o_por then begin
-                  let tok = Lepower_prof.Phase.enter ph_por in
-                  let kept =
-                    List.filter
-                      (fun mv' ->
-                        acc.a_por_checks <- acc.a_por_checks + 1;
-                        let p = move_pid mv' and q = move_pid mv in
-                        match opts.o_fast with
-                        | Some fast
-                          when p <> q
-                               && p < Array.length fast
-                               && q < Array.length fast
-                               && fast.(p).(q) ->
-                          acc.a_fast <- acc.a_fast + 1;
-                          true
-                        | _ -> independent_m m mv' mv)
-                      (List.rev_append explored sleep)
-                  in
-                  Lepower_prof.Phase.leave tok;
-                  kept
-                end
-                else []
-              in
-              let rpath' = decision_of_move mv :: rpath in
-              (match mv with
-              | Step_m pid ->
-                let mk = Engine.Machine.mark m in
-                let saved_hist = histories.(pid) in
-                let saved_status = Engine.Machine.status m pid in
-                let saved_ssum = !store_sum and saved_psum = !proc_sum in
-                Engine.Machine.step m pid;
-                (if opts.o_dedup then begin
-                   (if Engine.Machine.last_step_event m then begin
-                      let loc = Engine.Machine.last_loc m in
-                      histories.(pid) <-
-                        Fingerprint.history_extend_op histories.(pid) ~loc
-                          ~op:(Engine.Machine.last_op m)
-                          ~result:(Engine.Machine.last_result m);
-                      store_sum :=
-                        !store_sum
-                        - Fingerprint.store_binding_hash loc
-                            (Engine.Machine.last_old_state m)
-                        + Fingerprint.store_binding_hash loc
-                            (Engine.Machine.last_new_state m)
-                    end);
-                   proc_sum :=
-                     !proc_sum
-                     - Fingerprint.proc_hash ~pid saved_status saved_hist
-                     + Fingerprint.proc_hash ~pid
-                         (Engine.Machine.status m pid)
-                         histories.(pid)
-                 end);
-                go (depth + 1) rpath' child_sleep
-                  (Option.map (fun c -> Engine.step c pid) shadow);
-                Engine.Machine.undo_to m mk;
-                histories.(pid) <- saved_hist;
-                store_sum := saved_ssum;
-                proc_sum := saved_psum
-              | Crash_m pid ->
-                let mk = Engine.Machine.mark m in
-                let saved_status = Engine.Machine.status m pid in
-                let saved_psum = !proc_sum in
-                Engine.Machine.crash m pid;
-                (if opts.o_dedup then
-                   proc_sum :=
-                     !proc_sum
-                     - Fingerprint.proc_hash ~pid saved_status histories.(pid)
-                     + Fingerprint.proc_hash ~pid
-                         (Engine.Machine.status m pid)
-                         histories.(pid));
-                go depth rpath' child_sleep
-                  (Option.map (fun c -> Engine.crash c pid) shadow);
-                Engine.Machine.undo_to m mk;
-                proc_sum := saved_psum);
-              loop sleep (if opts.o_por then mv :: explored else explored) rest
-            end
-        in
-        loop sleep [] (moves_of opts pids)
-    in
-    match visited with
-    | None -> proceed sleep
-    | Some tbl -> (
-      let tok = Lepower_prof.Phase.enter ph_fingerprint in
-      let action =
-        let key =
-          Fingerprint.of_parts ~store_sum:!store_sum ~proc_sum:!proc_sum
-            ~store:(Engine.Machine.state_bindings m)
-            ~procs:
-              (Array.init n (fun pid ->
-                   (Engine.Machine.status m pid, histories.(pid))))
-        in
-        match Fingerprint.Tbl.find_opt tbl key with
-        | None ->
-          Fingerprint.Tbl.add tbl key (if leaf then [] else sleep);
-          `Proceed sleep
-        | Some stored when leaf || sleep_subset stored sleep -> `Dedup
-        | Some stored ->
-          let sleep = sleep_inter sleep stored in
-          Fingerprint.Tbl.replace tbl key sleep;
-          `Proceed sleep
-      in
-      Lepower_prof.Phase.leave tok;
-      match action with
-      | `Dedup -> acc.a_deduped <- acc.a_deduped + 1
-      | `Proceed sleep -> proceed sleep)
-  in
-  go depth0 rpath0 [] (if opts.o_verify then Some config0 else None);
-  m
-
 (* Specialized arena walk for the naive mode (no dedup, no POR, no
    lockstep shadow): the traversal needs no move lists, no sleep sets
    and no decision accumulation, so the whole DFS runs allocation-free
@@ -670,8 +477,8 @@ let explore_seq_arena ~opts ~acc ?tick ~visited ~analyze ~on_terminal
    array reads on the live machine, and only a hook that actually asks
    for the trace or the decision path pays, by replaying the walker's
    recorded move path from this item's root configuration.  Same
-   traversal order and counters as [explore_seq_arena]; that equality
-   is what the cross-backend tests pin down. *)
+   traversal order and counters as [explore_seq]; that equality is
+   what the cross-backend tests pin down. *)
 let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
     ~on_truncated (config0, _histories0, depth0, rpath0) =
   let m = Engine.Machine.of_config config0 in
@@ -1065,35 +872,27 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
   go depth0 0 !running0 0;
   m
 
-(* Backend dispatch for one DFS item — the single worker entry point for
+(* Walker dispatch for one DFS item — the single worker entry point for
    both the [domains <= 1] path and the frontier workers. *)
 let explore_item ~opts ~acc ?tick ~visited ~analyze ~on_terminal
     ~on_truncated ~on_lowering item =
-  match opts.o_backend with
-  | Engine.Persistent ->
-    explore_seq ~opts ~acc ?tick ~visited:(visited_lists visited) ~analyze
-      ~on_terminal ~on_truncated item
-  | Engine.Arena -> (
-    let m =
-      if
-        (not opts.o_dedup) && (not opts.o_por) && (not opts.o_verify)
-        && visited = None
-      then
-        explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
-          ~on_truncated item
-      else if opts.o_reduced then
-        explore_arena_reduced ~opts ~acc ?tick
-          ~visited:(visited_bits visited) ~analyze ~on_terminal ~on_truncated
-          item
-      else
-        (* Lockstep shadow ([verify_backend]) or an oversized move
-           alphabet: the journaled reference walk. *)
-        explore_seq_arena ~opts ~acc ?tick ~visited:(visited_lists visited)
-          ~analyze ~on_terminal ~on_truncated item
-    in
+  let lowered m =
     match on_lowering with
     | None -> ()
-    | Some f -> f (Engine.Machine.reports m))
+    | Some f -> f (Engine.Machine.reports m)
+  in
+  match opts.o_walker with
+  | Seq ->
+    explore_seq ~opts ~acc ?tick ~visited:(visited_lists visited) ~analyze
+      ~on_terminal ~on_truncated item
+  | Arena_naive ->
+    lowered
+      (explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
+         ~on_truncated item)
+  | Arena_reduced ->
+    lowered
+      (explore_arena_reduced ~opts ~acc ?tick ~visited:(visited_bits visited)
+         ~analyze ~on_terminal ~on_truncated item)
 
 (* ------------------------------------------------------------------ *)
 (* Multicore frontier exploration.                                    *)

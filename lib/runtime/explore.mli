@@ -120,29 +120,32 @@ module Options : sig
     por : bool;  (** sleep-set partial-order reduction (default [false]) *)
     domains : int;  (** worker domains (default [1] = sequential) *)
     backend : Engine.backend;
-        (** which executor runs the DFS (default [Persistent]).
-            [Arena] lowers each DFS root into an {!Engine.Machine} —
-            compiled programs, mutable store, O(1) snapshot/undo on
-            backtrack, incremental fingerprint sums — and is
-            substantially faster; verdicts, statistics, decision sets
-            and reported witness paths are identical.  With [dedup]
-            and/or [por] the walk is journal-free between choice
-            points: per-move undo lives in stack frames
-            ({!Engine.Machine.step_frame}), sleep sets are int bitsets,
-            and the dedup key is maintained incrementally from each
-            step's store delta, so no full configuration is ever
-            materialized on the hot path (see DESIGN.md §7 for the
-            contract).  A program whose compiled form outgrows its node
-            budget transparently falls back to closure interpretation
-            (see {!Program.Compiled}/[on_lowering]); the frontier split
-            under [domains] stays persistent either way (it is shallow
-            and exact). *)
-    verify_backend : bool;
-        (** debug flag (default [false], [Arena] only): shadow every
-            machine step with the persistent reference and [failwith] on
-            the first divergence ({!Engine.config_equal} after every
-            move).  Orders of magnitude slower; for test suites and
-            bug hunts, not for campaigns. *)
+        (** which executor runs the DFS (default [Persistent]).  There
+            are three walkers, and this field picks one per run:
+            - [Persistent]: the reference walk over immutable
+              configurations.  The cross-backend tests compare against
+              it, and it is the faster path for hooks that read the
+              trace (lint's checkers).
+            - [Arena], naive mode: each DFS root is lowered into an
+              {!Engine.Machine} — compiled programs, mutable store,
+              undo on backtrack — and walked allocation-free.
+            - [Arena] with [dedup] and/or [por]: the same machine,
+              journal-free between choice points — per-move undo in
+              stack frames ({!Engine.Machine.step_frame}), int-bitset
+              sleep sets, and a dedup key maintained incrementally from
+              each step's store delta (see DESIGN.md §7 for the
+              contract).  The sleep set needs [2 * n_procs <= 62]
+              bits; a larger instance runs the [Persistent] walk
+              instead, with identical stats, and [on_lowering] does not
+              fire on that route.
+
+            Verdicts, statistics, decision sets and reported witness
+            paths are identical across backends.  A program whose
+            compiled form outgrows its node budget transparently falls
+            back to closure interpretation (see
+            {!Program.Compiled}/[on_lowering]); the frontier split under
+            [domains] stays persistent either way (it is shallow and
+            exact). *)
     footprints : (string list * string list) array;
         (** per-pid static (may-read, may-write) location lists, indexed
             by pid — seeds a pairwise commutation matrix giving [por] a
@@ -173,7 +176,7 @@ module Options : sig
             the callback; do not retain the view. *)
     on_truncated : (Engine.Config_view.t -> unit) option;
     on_lowering : (Program.Compiled.report array -> unit) option;
-        (** [Arena] only: called once per DFS item (once total when
+        (** [Arena] walks only: called once per DFS item (once total when
             [domains <= 1]) with the per-pid lowering reports of that
             item's machine — how many instructions were interned,
             edge-table hit/miss counts, and whether the process bailed
@@ -189,10 +192,10 @@ module Options : sig
 
   val default : t
   (** [{max_steps = 10_000; crash_faults = false; dedup = false;
-      por = false; domains = 1; backend = Persistent;
-      verify_backend = false; footprints = [||]; analyze = None;
-      on_terminal = None; on_truncated = None; on_lowering = None;
-      progress = None}] — the naive exhaustive walk, exactly. *)
+      por = false; domains = 1; backend = Persistent; footprints = [||];
+      analyze = None; on_terminal = None; on_truncated = None;
+      on_lowering = None; progress = None}] — the naive exhaustive walk,
+      exactly. *)
 end
 
 val explore : ?options:Options.t -> Engine.config -> stats

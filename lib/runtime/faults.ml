@@ -31,24 +31,11 @@ let apply config decision =
     Obs.Metrics.incr m_injected;
     { config with Engine.store = Memory.Store.freeze config.Engine.store loc }
 
-let apply_machine m decision =
-  match decision with
-  | Repro.Step pid -> Engine.Machine.step m pid
-  | Repro.Crash pid ->
-    Obs.Metrics.incr m_injected;
-    Engine.Machine.crash m pid
-  | Repro.Lose pid ->
-    Obs.Metrics.incr m_injected;
-    Engine.Machine.step_lost m pid
-  | Repro.Stick loc ->
-    Obs.Metrics.incr m_injected;
-    Engine.Machine.freeze m loc
-
 (* One adversary decision, deterministic in [rng].  The scheduler is only
    consulted for decisions that schedule a process (Step/Lose), so its
-   own state advances exactly with the executed schedule.  Taking the
-   location list (fixed for a run — faults never add or remove objects)
-   instead of a config keeps the decision policy backend-agnostic. *)
+   own state advances exactly with the executed schedule.  The location
+   list is fixed for a run (faults never add or remove objects), so the
+   caller computes it once. *)
 let decide ~plan ~rng ~crashes ~faults ~sched ~time ~enabled ~locs =
   let roll = Random.State.float rng 1.0 in
   let in_band lo width = width > 0.0 && roll >= lo && roll < lo +. width in

@@ -55,22 +55,16 @@ val decide :
 (** One adversary decision, deterministic in [rng].  [crashes]/[faults]
     are the injection counts so far (budget enforcement); [locs] is the
     store's location list, fixed for the whole run (faults never add or
-    remove objects), so the policy is backend-agnostic and callers
-    compute it once.  The scheduler is consulted only when the decision
-    schedules a process (step or lost write), so its internal state
-    advances exactly with the executed schedule; [None] means the
-    scheduler returned {!Sched.halt}.  The caller must notify
-    [sched.observe] for [Step]/[Lose] decisions it executes, exactly as
-    {!Engine.run} would. *)
+    remove objects), so callers compute it once.  The scheduler is
+    consulted only when the decision schedules a process (step or lost
+    write), so its internal state advances exactly with the executed
+    schedule; [None] means the scheduler returned {!Sched.halt}.  The
+    caller must notify [sched.observe] for [Step]/[Lose] decisions it
+    executes, exactly as {!Engine.run} would. *)
 
 val apply : Engine.config -> Repro.decision -> Engine.config
 (** Execute one decision (the same semantics {!Repro.apply} uses),
     bumping the [faults.injected] counter for the fault decisions. *)
-
-val apply_machine : Engine.Machine.t -> Repro.decision -> unit
-(** {!apply} on the arena-backed machine: same semantics, same counter.
-    [Stick] uses {!Engine.Machine.freeze}, which is safe here because
-    fault-driven executions never backtrack. *)
 
 val is_fault : Repro.decision -> bool
 (** [true] for [Crash]/[Lose]/[Stick], [false] for [Step]. *)

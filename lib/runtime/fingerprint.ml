@@ -146,9 +146,6 @@ let sums (config : Engine.config) histories =
     config.Engine.procs;
   (store_sum, !proc_sum)
 
-let of_parts ~store_sum ~proc_sum ~store ~procs =
-  { hash = combine ~store_sum ~proc_sum; store; procs }
-
 let make (config : Engine.config) histories =
   let store = Memory.Store.state_bindings config.Engine.store in
   let store_sum =

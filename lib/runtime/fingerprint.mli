@@ -33,12 +33,6 @@ val history_extend : history -> Trace.event -> history
     and [pid] fields are ignored: only [(loc, op, result)] enter the
     fingerprint, keeping it insensitive to the global interleaving. *)
 
-val history_extend_op :
-  history -> loc:string -> op:Memory.Value.t -> result:Memory.Value.t -> history
-(** {!history_extend} without requiring a materialized {!Trace.event} —
-    the arena-backed explorer extends histories straight from the
-    machine's step delta. *)
-
 type hcons
 (** A hash-consing table for history extension, scoped to one walk. *)
 
@@ -51,14 +45,16 @@ val history_extend_hc :
   op:Memory.Value.t ->
   result:Memory.Value.t ->
   history
-(** {!history_extend_op} through a consing table: re-extending the same
-    (physical) tail with an equal event returns the {e same} history
-    block, so histories re-derived along commuting interleavings become
-    physically equal and {!history_equal}'s identity shortcut makes
-    visited-set hits O(procs) pointer checks instead of full spine
-    walks.  Purely an optimization — the returned history is
-    structurally identical to {!history_extend_op}'s, with the same
-    hash, and compares correctly against un-consed histories. *)
+(** {!history_extend} from an event's parts, through a consing table —
+    the arena-backed explorer extends histories straight from the
+    machine's step delta, with no materialized {!Trace.event}.
+    Re-extending the same (physical) tail with an equal event returns
+    the {e same} history block, so histories re-derived along commuting
+    interleavings become physically equal and {!history_equal}'s
+    identity shortcut makes visited-set hits O(procs) pointer checks
+    instead of full spine walks.  Purely an optimization — the returned history is
+    structurally identical to {!history_extend}'s, with the same hash,
+    and compares correctly against un-consed histories. *)
 
 val history_hash : history -> int
 
@@ -89,12 +85,10 @@ val hash : t -> int
     ({!proc_hash}) — combined by {!combine}.  Because the sums commute,
     a caller that knows which single binding or process a step changed
     can maintain them in O(1): [sum - old_term + new_term] (native
-    wrap-around [+]/[-]).  {!sums} computes them from scratch;
-    {!of_parts} assembles a fingerprint from maintained sums.
-    [make config hs] and
-    [of_parts ~store_sum ~proc_sum ...] agree whenever the sums equal
-    [sums config hs] — the property the test suite checks over random
-    op sequences. *)
+    wrap-around [+]/[-]).  {!sums} computes them from scratch, and
+    [hash (make config hs)] is [combine] of [sums config hs]; the test
+    suite checks that incrementally maintained sums equal {!sums} along
+    every schedule it walks. *)
 
 val store_binding_hash : string -> Memory.Value.t -> int
 (** The store sum's term for one [loc -> state] binding. *)
@@ -116,17 +110,6 @@ val combine : store_sum:int -> proc_sum:int -> int
 val sums : Engine.config -> history array -> int * int
 (** [(store_sum, proc_sum)] computed from scratch, without
     materializing binding lists. *)
-
-val of_parts :
-  store_sum:int ->
-  proc_sum:int ->
-  store:(string * Memory.Value.t) list ->
-  procs:(Proc.status * history) array ->
-  t
-(** Assemble a fingerprint from incrementally-maintained sums plus the
-    canonical structural components (used by [equal] on hash
-    collision).  [store] must be sorted by location; [procs.(pid)] must
-    match the terms folded into [proc_sum]. *)
 
 module Tbl : Hashtbl.S with type key = t
 

@@ -30,133 +30,57 @@ type run = {
   hit_step_limit : bool;
 }
 
-(* Internal run result carrying a view of the final state instead of a
-   materialized configuration.  On the arena backend the machine is
-   never stepped after finishing, so the borrow is sound for the rest
-   of the campaign iteration; [campaign] only materializes (via the
-   view) when a certificate or violation report actually needs it. *)
-type vrun = {
-  v_final : Engine.Config_view.t;
-  v_decisions : Repro.decision list;
-  v_sched_name : string;
-  v_injected : int;
-  v_hit_step_limit : bool;
-}
-
-let run_view ?(max_steps = 1_000) ?(plan = Faults.none)
-    ?(backend = Engine.Persistent) ~kind ~seed config =
+let run ?(max_steps = 1_000) ?(plan = Faults.none) ~kind ~seed config =
   Obs.Metrics.incr m_runs;
   let sched = instantiate kind ~seed ~max_steps in
   let rng = Random.State.make [| 0xfa17; seed |] in
   (* Faults never add or remove objects, so the fault roller's location
      list is fixed for the whole run — computed once, not per decision. *)
   let locs = Memory.Store.locs config.Engine.store in
-  let finish ~hit final log injected =
+  let finish ~hit config log crashes faults =
     {
-      v_final = final;
-      v_decisions = List.rev log;
-      v_sched_name = Printf.sprintf "fuzz:%s" sched.Sched.name;
-      v_injected = injected;
-      v_hit_step_limit = hit;
+      final = config;
+      decisions = List.rev log;
+      sched_name = Printf.sprintf "fuzz:%s" sched.Sched.name;
+      injected = crashes + faults;
+      hit_step_limit = hit;
     }
   in
-  (* Both loops make rng and scheduler calls in exactly the same order,
-     so a seed produces the same decision log on either backend. *)
-  let go_persistent () =
-    let rec go config log crashes faults =
-      if config.Engine.time >= max_steps then
-        finish ~hit:true (Engine.Config_view.of_config config) log
-          (crashes + faults)
-      else
-        match Engine.enabled config with
-        | [] ->
-          finish ~hit:false (Engine.Config_view.of_config config) log
-            (crashes + faults)
-        | enabled -> (
-          match
-            Faults.decide ~plan ~rng ~crashes ~faults ~sched
-              ~time:config.Engine.time ~enabled ~locs
-          with
-          | None ->
-            finish ~hit:false (Engine.Config_view.of_config config) log
-              (crashes + faults)
-          | Some d ->
-            (* The engine protocol: [observe] fires for every decision that
-               scheduled a process, lost writes included — the scheduler
-               cannot tell a lost step from a real one, just as the process
-               cannot. *)
-            (match d with
-            | Repro.Step pid | Repro.Lose pid ->
-              sched.Sched.observe ~time:config.Engine.time ~pid
-            | Repro.Crash _ | Repro.Stick _ -> ());
-            let config' = Faults.apply config d in
-            let crashes' =
-              match d with Repro.Crash _ -> crashes + 1 | _ -> crashes
-            in
-            let faults' =
-              match d with
-              | Repro.Lose _ | Repro.Stick _ -> faults + 1
-              | _ -> faults
-            in
-            go config' (d :: log) crashes' faults')
-    in
-    go config [] 0 0
-  in
-  let go_arena () =
-    let m = Engine.Machine.of_config config in
-    let rec go log crashes faults =
-      if Engine.Machine.time m >= max_steps then
-        finish ~hit:true (Engine.Config_view.of_machine m) log
-          (crashes + faults)
-      else
-        match Engine.Machine.enabled m with
-        | [] ->
-          finish ~hit:false (Engine.Config_view.of_machine m) log
-            (crashes + faults)
-        | enabled -> (
-          match
-            Faults.decide ~plan ~rng ~crashes ~faults ~sched
-              ~time:(Engine.Machine.time m) ~enabled ~locs
-          with
-          | None ->
-            finish ~hit:false (Engine.Config_view.of_machine m) log
-              (crashes + faults)
-          | Some d ->
-            (match d with
-            | Repro.Step pid | Repro.Lose pid ->
-              sched.Sched.observe ~time:(Engine.Machine.time m) ~pid
-            | Repro.Crash _ | Repro.Stick _ -> ());
-            Faults.apply_machine m d;
-            let crashes' =
-              match d with Repro.Crash _ -> crashes + 1 | _ -> crashes
-            in
-            let faults' =
-              match d with
-              | Repro.Lose _ | Repro.Stick _ -> faults + 1
-              | _ -> faults
-            in
-            go (d :: log) crashes' faults')
-    in
-    go [] 0 0
+  let rec go config log crashes faults =
+    if config.Engine.time >= max_steps then
+      finish ~hit:true config log crashes faults
+    else
+      match Engine.enabled config with
+      | [] -> finish ~hit:false config log crashes faults
+      | enabled -> (
+        match
+          Faults.decide ~plan ~rng ~crashes ~faults ~sched
+            ~time:config.Engine.time ~enabled ~locs
+        with
+        | None -> finish ~hit:false config log crashes faults
+        | Some d ->
+          (* The engine protocol: [observe] fires for every decision that
+             scheduled a process, lost writes included — the scheduler
+             cannot tell a lost step from a real one, just as the process
+             cannot. *)
+          (match d with
+          | Repro.Step pid | Repro.Lose pid ->
+            sched.Sched.observe ~time:config.Engine.time ~pid
+          | Repro.Crash _ | Repro.Stick _ -> ());
+          let crashes' =
+            match d with Repro.Crash _ -> crashes + 1 | _ -> crashes
+          in
+          let faults' =
+            match d with
+            | Repro.Lose _ | Repro.Stick _ -> faults + 1
+            | _ -> faults
+          in
+          go (Faults.apply config d) (d :: log) crashes' faults')
   in
   let tok = Lepower_prof.Phase.enter ph_run in
-  let r =
-    match backend with
-    | Engine.Persistent -> go_persistent ()
-    | Engine.Arena -> go_arena ()
-  in
+  let r = go config [] 0 0 in
   Lepower_prof.Phase.leave tok;
   r
-
-let run ?max_steps ?plan ?backend ~kind ~seed config =
-  let r = run_view ?max_steps ?plan ?backend ~kind ~seed config in
-  {
-    final = Engine.Config_view.config r.v_final;
-    decisions = r.v_decisions;
-    sched_name = r.v_sched_name;
-    injected = r.v_injected;
-    hit_step_limit = r.v_hit_step_limit;
-  }
 
 (* Live campaign progress: one callback per completed run (campaigns are
    run-bounded, so per-run cadence is cheap), carrying the totals a
@@ -180,7 +104,7 @@ type outcome = {
 
 let campaign ?(runs = 256) ?(seed = 1) ?(max_steps = 1_000)
     ?(plan = Faults.none) ?(kind = Pct { depth = 3 }) ?(shrink = true)
-    ?(subject = Json.Null) ?backend ?progress ~failing fresh_config =
+    ?(subject = Json.Null) ?progress ~failing fresh_config =
   Obs.Span.with_span "fuzz.campaign"
     ~args:
       [
@@ -202,25 +126,21 @@ let campaign ?(runs = 256) ?(seed = 1) ?(max_steps = 1_000)
       }
     else
       let config0 = fresh_config () in
-      let r =
-        run_view ~max_steps ~plan ?backend ~kind ~seed:(seed + i) config0
-      in
-      let injected = injected + r.v_injected in
-      let steps = steps + List.length r.v_decisions in
+      let r = run ~max_steps ~plan ~kind ~seed:(seed + i) config0 in
+      let injected = injected + r.injected in
+      let steps = steps + List.length r.decisions in
       (match progress with
       | Some f ->
         f { p_run = i + 1; p_runs_total = runs; p_injected = injected;
             p_steps = steps }
       | None -> ());
-      (* Non-violating runs never materialize a configuration: the
-         predicate reads the machine's final state through the view. *)
-      match failing r.v_final with
+      match failing (Engine.Config_view.of_config r.final) with
       | None -> go (i + 1) injected steps
       | Some message ->
         Obs.Metrics.incr m_violations;
         let cert =
-          Repro.of_decisions ~subject ~sched:r.v_sched_name ~seed:(seed + i)
-            ~max_steps ~message config0 r.v_decisions
+          Repro.of_decisions ~subject ~sched:r.sched_name ~seed:(seed + i)
+            ~max_steps ~message config0 r.decisions
         in
         let cert, stats =
           if shrink then

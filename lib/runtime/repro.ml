@@ -143,52 +143,13 @@ type applied = {
   skipped : int;
 }
 
-let apply ?(strict = true) ?(backend = Engine.Persistent) config decisions =
+let apply ?(strict = true) config decisions =
   Lepower_obs.Metrics.incr m_replays;
   let inapplicable idx d enabled =
     Fmt.str "decision %d (%a) is not applicable: enabled = {%s}" idx
       Decision.pp d
       (String.concat ", " (List.map string_of_int enabled))
   in
-  match backend with
-  | Engine.Arena ->
-    (* Same loop over the mutable machine.  Applicability, skipping and
-       error strings are identical, so a certificate replays bit for bit
-       on either backend (the digest gates in [replay] check exactly
-       that). *)
-    let m = Engine.Machine.of_config config in
-    let rec go applied skipped idx = function
-      | [] ->
-        Ok
-          {
-            final = Engine.Machine.config m;
-            applied = List.rev applied;
-            skipped;
-          }
-      | d :: rest ->
-        let enabled = Engine.Machine.enabled m in
-        let applicable =
-          match Decision.pid d with
-          | Some pid -> List.mem pid enabled
-          | None -> (
-            match d with
-            | Stick loc -> Engine.Machine.mem_loc m loc
-            | Step _ | Crash _ | Lose _ -> false)
-        in
-        if not applicable then
-          if strict then Error (inapplicable idx d enabled)
-          else go applied (skipped + 1) (idx + 1) rest
-        else begin
-          (match d with
-          | Step pid -> Engine.Machine.step m pid
-          | Crash pid -> Engine.Machine.crash m pid
-          | Lose pid -> Engine.Machine.step_lost m pid
-          | Stick loc -> Engine.Machine.freeze m loc);
-          go (d :: applied) skipped (idx + 1) rest
-        end
-    in
-    go [] 0 0 decisions
-  | Engine.Persistent ->
   let rec go config applied skipped idx = function
     | [] -> Ok { final = config; applied = List.rev applied; skipped }
     | d :: rest ->
@@ -228,7 +189,7 @@ let of_decisions ?subject ?sched ?seed ?max_steps ~message config decisions =
       ~final:(Fingerprint.digest final)
       decisions
 
-let replay ?backend t config =
+let replay t config =
   let initial = Fingerprint.digest config in
   if not (String.equal initial t.initial) then
     Error
@@ -237,7 +198,7 @@ let replay ?backend t config =
           (wrong subject, parameters, or code version %s)"
          t.initial initial t.version)
   else
-    match apply ~strict:true ?backend config t.decisions with
+    match apply ~strict:true config t.decisions with
     | Error e -> Error ("replay diverged: " ^ e)
     | Ok { final; _ } ->
       let digest = Fingerprint.digest final in
@@ -334,8 +295,6 @@ let shrink ?(budget = 4_000) ~failing ~config0 t =
       match apply ~strict:false config0 ds with
       | Error _ -> None
       | Ok { final; applied; _ } ->
-        (* Candidates replay on the persistent backend, so the view is
-           a free wrapper over the already-materialized final. *)
         if failing (Engine.Config_view.of_config final) then Some applied
         else None
     end

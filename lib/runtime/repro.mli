@@ -132,7 +132,6 @@ type applied = {
 
 val apply :
   ?strict:bool ->
-  ?backend:Engine.backend ->
   Engine.config ->
   decision list ->
   (applied, string) result
@@ -141,21 +140,19 @@ val apply :
     [Step]/[Crash]/[Lose] of a pid that is not running, or a [Stick] of
     an unknown location — naming its index; with [~strict:false]
     inapplicable decisions are skipped and counted, which is what the
-    shrinker's candidate evaluation uses.  [backend] (default
-    [Persistent]) selects the executor; both run the same applicability
-    logic and step semantics, so the outcome — including error
-    strings — is identical. *)
+    shrinker's candidate evaluation uses.  Runs on the persistent
+    engine: replay moves forward only, like a fuzz run, so the arena
+    machine's undo would buy nothing ([Fuzz.run] has the numbers). *)
 
-val replay :
-  ?backend:Engine.backend -> t -> Engine.config -> (Engine.config, string) result
+val replay : t -> Engine.config -> (Engine.config, string) result
 (** [replay cert config] verifies [config]'s digest against
     [cert.initial], strictly applies the decisions, and verifies the
     resulting digest against [cert.final].  [Ok] returns the final
     configuration — the caller re-checks its predicate on it; [Error]
     names the first mismatch (a corrupted or mis-resolved certificate
     never replays silently).  Because the digest gates are bit-for-bit,
-    a certificate recorded on either backend replays on either: the
-    cross-backend test matrix relies on exactly this. *)
+    a certificate from any producer — fuzz campaign, sampled lint, or
+    an explorer witness found on either backend — replays here. *)
 
 (** {1 Shrinking} *)
 

@@ -1,12 +1,13 @@
 (* Cross-backend equivalence: the mutable arena store against the
    persistent reference, and the compiled machine against the closure
-   engine.  The arena/machine pair is the hot path of every campaign,
-   so these tests pin the contract the speedup rests on: state-for-state
-   store agreement through random op sequences (faults and snapshot/
-   undo included), identical exploration statistics, decision sets and
-   fuzz certificates in every mode, bit-for-bit certificate replay on
-   either backend, and incremental fingerprint sums that match the
-   from-scratch computation after every machine step. *)
+   engine.  The arena/machine pair is the hot path of every exhaustive
+   check, so these tests pin the contract the speedup rests on:
+   state-for-state store agreement through random op sequences
+   (snapshot/undo included), the frame primitives the arena walkers use
+   in lockstep with the persistent engine over every schedule,
+   incremental fingerprint sums that match the from-scratch computation
+   after every frame step, and identical exploration statistics and
+   decision sets in every mode. *)
 
 module Value = Memory.Value
 module Spec = Memory.Spec
@@ -16,8 +17,16 @@ module Engine = Runtime.Engine
 module Machine = Runtime.Engine.Machine
 module Explore = Runtime.Explore
 module Fingerprint = Runtime.Fingerprint
+module Proc = Runtime.Proc
+module View = Runtime.Engine.Config_view
 
 let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
+
+let status : Runtime.Proc.status Alcotest.testable =
+  Alcotest.testable Runtime.Proc.pp_status (fun a b ->
+      match (a, b) with
+      | Runtime.Proc.Decided x, Runtime.Proc.Decided y -> Value.equal x y
+      | a, b -> a = b)
 
 (* --- random op sequences: arena tracks the persistent store --- *)
 
@@ -74,8 +83,8 @@ let test_random_ops () =
       let arena = Arena.of_store store0 in
       let store = ref store0 in
       (* the store half of the fingerprint sum, maintained incrementally
-         through pokes, freezes, ops and undos exactly as the reduced
-         walk maintains it through step frames *)
+         through ops and undos exactly as the reduced walk maintains it
+         through step frames *)
       let sum = ref (sum_scratch (Store.state_bindings store0)) in
       (* a stack of (persistent snapshot, arena mark, sum) checkpoints *)
       let saves = ref [] in
@@ -83,25 +92,9 @@ let test_random_ops () =
         let li = rng n_locs in
         let loc = locs.(li) in
         let msg = Printf.sprintf "seed %d op %d" seed i in
-        (match rng 10 with
-        | 0 ->
-          (* poke both to the same (type-respecting) value: replay the
-             object's init state *)
-          let v = (List.nth bindings li |> fun (_, s, _) -> s).Spec.init in
-          let old = Option.get (Arena.peek arena loc) in
-          store := Store.poke !store loc v;
-          Arena.poke arena loc v;
-          sum :=
-            !sum
-            - Fingerprint.store_binding_hash loc old
-            + Fingerprint.store_binding_hash loc v
-        | 1 ->
-          (* stuck-at fault: spec swapped, state binding untouched — no
-             sum delta *)
-          store := Store.freeze !store loc;
-          Arena.freeze arena loc
-        | 2 -> saves := (!store, Arena.mark arena, !sum) :: !saves
-        | 3 -> (
+        (match rng 8 with
+        | 0 -> saves := (!store, Arena.mark arena, !sum) :: !saves
+        | 1 -> (
           match !saves with
           | [] -> ()
           | (s, mk, sv) :: rest ->
@@ -139,27 +132,55 @@ let test_random_ops () =
       done)
     [ 1; 7; 42; 1994 ]
 
-(* --- incremental fingerprint sums from the machine's step delta --- *)
+(* --- incremental fingerprint sums from the frame deltas --- *)
 
 let cas_instance = Protocols.Cas_election.instance ~k:4 ~n:3
 
+(* Fold one frame step of [pid] into the incremental fingerprint state,
+   exactly as the reduced arena walk does: the store sum moves by the
+   step's single-binding delta, the process's history grows by the
+   step's event (hash-consed through [hc]), and the proc sum swaps the
+   process's old term for its new one.  [status_before]/[hist_before]
+   are the process's pre-step status and history. *)
+let fold_step hc m f histories store_sum proc_sum ~pid ~status_before
+    ~hist_before =
+  if Machine.frame_step_event m f then begin
+    let loc = Machine.frame_loc m f in
+    store_sum :=
+      !store_sum
+      - Fingerprint.store_binding_hash loc (Machine.frame_old_state m f)
+      + Fingerprint.store_binding_hash loc (Machine.frame_new_state m f);
+    histories.(pid) <-
+      Fingerprint.history_extend_hc hc histories.(pid) ~loc
+        ~op:(Machine.frame_op m f) ~result:(Machine.frame_result m f)
+  end;
+  proc_sum :=
+    !proc_sum
+    - Fingerprint.proc_hash ~pid status_before hist_before
+    + Fingerprint.proc_hash ~pid (Machine.status m pid) histories.(pid)
+
 (* The property the journal-free reduced walk rests on (DESIGN.md §7):
-   fingerprint sums maintained in O(1) from each move's delta equal the
-   from-scratch computation — through ordinary steps, decides, crashes,
-   stuck-at freezes and lost writes — on {e both} backends, with the
-   machine staying digest-lockstep with the persistent engine under the
-   same schedule. *)
+   fingerprint sums maintained in O(1) from each frame's delta equal the
+   from-scratch computation — through ordinary steps, decides and
+   crashes — with the machine staying in lockstep with the persistent
+   engine under the same schedule.  One machine serves every seed: each
+   walk is undone frame by frame back to the root, so later seeds run
+   on warm transition memos and exercise the memo-hit fast path as well
+   as the journaled slow path. *)
 let test_incremental_sums () =
+  let config0 = Protocols.Election.config cas_instance in
+  let n = Array.length config0.Engine.procs in
+  let m = Machine.of_config config0 in
+  let hc = Fingerprint.hcons_create 64 in
+  let root_bindings = Machine.state_bindings m in
   List.iter
     (fun seed ->
-      let config0 = Protocols.Election.config cas_instance in
-      let n = Array.length config0.Engine.procs in
-      let locs = Array.of_list (Store.locs config0.Engine.store) in
-      let m = Machine.of_config config0 in
       let pc = ref config0 in
       let histories = Array.make n Fingerprint.history_empty in
       let store_sum0, proc_sum0 = Fingerprint.sums config0 histories in
       let store_sum = ref store_sum0 and proc_sum = ref proc_sum0 in
+      (* undo stack, newest first: [`Step frame] or [`Crash pid] *)
+      let moves = ref [] in
       let rng = mk_rng seed in
       for i = 0 to 299 do
         (match Machine.enabled m with
@@ -168,72 +189,39 @@ let test_incremental_sums () =
           let pid = List.nth en (rng (List.length en)) in
           let status_before = Machine.status m pid in
           let hist_before = histories.(pid) in
-          (* one process's history (and possibly status) changed *)
-          let bump_proc () =
+          if rng 12 = 0 then begin
+            Machine.crash_frame m pid;
+            pc := Engine.crash !pc pid;
+            moves := `Crash pid :: !moves;
             proc_sum :=
               !proc_sum
               - Fingerprint.proc_hash ~pid status_before hist_before
-              + Fingerprint.proc_hash ~pid (Machine.status m pid)
-                  histories.(pid)
-          in
-          let record_event ~store_delta =
-            if Machine.last_step_event m then begin
-              let loc = Machine.last_loc m in
-              if store_delta then
-                store_sum :=
-                  !store_sum
-                  - Fingerprint.store_binding_hash loc
-                      (Machine.last_old_state m)
-                  + Fingerprint.store_binding_hash loc
-                      (Machine.last_new_state m);
-              histories.(pid) <-
-                Fingerprint.history_extend_op histories.(pid) ~loc
-                  ~op:(Machine.last_op m) ~result:(Machine.last_result m)
-            end
-          in
-          match rng 12 with
-          | 0 ->
-            Machine.crash m pid;
-            pc := Engine.crash !pc pid;
-            bump_proc ()
-          | 1 ->
-            (* stuck-at freeze replaces a spec but no state binding, so
-               the canonical fingerprint — states, statuses, histories —
-               sees no delta at all *)
-            let loc = locs.(rng (Array.length locs)) in
-            Machine.freeze m loc;
-            pc := { !pc with Engine.store = Store.freeze !pc.Engine.store loc }
-          | 2 ->
-            (* lost write: the event (and so the history term) happens,
-               the store delta does not *)
-            Machine.step_lost m pid;
-            pc := Engine.step_lost !pc pid;
-            record_event ~store_delta:false;
-            bump_proc ()
-          | _ ->
-            Machine.step m pid;
+              + Fingerprint.proc_hash ~pid (Machine.status m pid) hist_before
+          end
+          else begin
+            let f = Machine.frame () in
+            Machine.step_frame m pid f;
             pc := Engine.step !pc pid;
-            record_event ~store_delta:true;
-            bump_proc ());
-        let s, p = Fingerprint.sums (Machine.config m) histories in
+            moves := `Step f :: !moves;
+            fold_step hc m f histories store_sum proc_sum ~pid
+              ~status_before ~hist_before
+          end);
+        let s, p = Fingerprint.sums !pc histories in
         Alcotest.(check int)
-          (Printf.sprintf "seed %d move %d: arena store sum" seed i)
+          (Printf.sprintf "seed %d move %d: store sum" seed i)
           s !store_sum;
         Alcotest.(check int)
-          (Printf.sprintf "seed %d move %d: arena proc sum" seed i)
+          (Printf.sprintf "seed %d move %d: proc sum" seed i)
           p !proc_sum;
-        let s', p' = Fingerprint.sums !pc histories in
-        Alcotest.(check int)
-          (Printf.sprintf "seed %d move %d: persistent store sum" seed i)
-          s' !store_sum;
-        Alcotest.(check int)
-          (Printf.sprintf "seed %d move %d: persistent proc sum" seed i)
-          p' !proc_sum;
         Alcotest.(check bool)
           (Printf.sprintf "seed %d move %d: combine non-negative" seed i)
           true
           (Fingerprint.combine ~store_sum:!store_sum ~proc_sum:!proc_sum >= 0)
       done;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: final store lockstep" seed)
+        true
+        (Machine.state_bindings m = Store.state_bindings !pc.Engine.store);
       (* the per-location seed identity the hot loop's precomputed
          [store_seed] array relies on *)
       List.iter
@@ -243,11 +231,130 @@ let test_incremental_sums () =
             (Fingerprint.store_binding_hash loc v)
             (Value.hash_fold (Fingerprint.store_seed loc) v))
         (Store.state_bindings !pc.Engine.store);
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d: final digest lockstep" seed)
-        (Fingerprint.digest !pc)
-        (Fingerprint.digest (Machine.config m)))
-    [ 13; 99; 4096 ]
+      List.iter
+        (function
+          | `Step f -> Machine.undo_frame m f
+          | `Crash pid -> Machine.uncrash_frame m pid)
+        !moves;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: undone to the root" seed)
+        true
+        (Machine.state_bindings m = root_bindings
+        && Machine.enabled m = List.init n Fun.id
+        && Machine.time m = config0.Engine.time))
+    [ 13; 99; 4096; 13 ]
+
+(* --- lockstep: the frame primitives against the persistent engine --- *)
+
+(* Walk every schedule of [config0] (with a crash move beside each step
+   when [crash_faults]), driving one machine through the journal-free
+   primitives the arena walkers are built from —
+   [step_frame]/[undo_frame], [crash_frame]/[uncrash_frame] — in
+   lockstep with the persistent engine.  On entering and again on
+   leaving every node (after all its children were undone), the machine
+   must agree with the persistent configuration on enabled set,
+   statuses, step counts, decisions and store state, and the
+   fingerprint sums maintained from the frame deltas must equal
+   [Fingerprint.sums] of the persistent configuration — whose histories
+   are built independently, from the persistent trace.  Returns the
+   number of nodes walked. *)
+let lockstep_walk ~name ~crash_faults config0 =
+  let n = Array.length config0.Engine.procs in
+  let m = Machine.of_config config0 in
+  let hc = Fingerprint.hcons_create 64 in
+  let hm = Array.make n Fingerprint.history_empty in
+  let store_sum, proc_sum =
+    let s, p = Fingerprint.sums config0 hm in
+    (ref s, ref p)
+  in
+  let nodes = ref 0 in
+  let check pc hp =
+    let msg what = Printf.sprintf "%s node %d: %s" name !nodes what in
+    let vm = View.of_machine m and vp = View.of_config pc in
+    Alcotest.(check (list int))
+      (msg "enabled") (Engine.enabled pc) (Machine.enabled m);
+    for pid = 0 to n - 1 do
+      Alcotest.check status
+        (msg (Printf.sprintf "status of p%d" pid))
+        (View.status vp pid) (View.status vm pid);
+      Alcotest.(check int)
+        (msg (Printf.sprintf "steps of p%d" pid))
+        (View.steps vp pid) (View.steps vm pid);
+      Alcotest.(check bool)
+        (msg (Printf.sprintf "history of p%d" pid))
+        true
+        (Fingerprint.history_equal hp.(pid) hm.(pid))
+    done;
+    Alcotest.(check (list (pair int value)))
+      (msg "decisions") (View.decisions vp) (View.decisions vm);
+    Alcotest.(check (list (pair string value)))
+      (msg "state bindings") (View.state_bindings vp) (View.state_bindings vm);
+    let s, p = Fingerprint.sums pc hp in
+    Alcotest.(check int) (msg "store sum") s !store_sum;
+    Alcotest.(check int) (msg "proc sum") p !proc_sum
+  in
+  let rec go pc hp =
+    incr nodes;
+    check pc hp;
+    List.iter
+      (fun pid ->
+        let saved_hist = hm.(pid) in
+        let saved_ssum = !store_sum and saved_psum = !proc_sum in
+        let f = Machine.frame () in
+        Machine.step_frame m pid f;
+        fold_step hc m f hm store_sum proc_sum ~pid
+          ~status_before:Proc.Running ~hist_before:saved_hist;
+        let pc' = Engine.step pc pid in
+        let hp' =
+          match pc'.Engine.trace with
+          | e :: _ when pc'.Engine.trace != pc.Engine.trace ->
+            let h = Array.copy hp in
+            h.(pid) <- Fingerprint.history_extend h.(pid) e;
+            h
+          | _ -> hp
+        in
+        go pc' hp';
+        Machine.undo_frame m f;
+        hm.(pid) <- saved_hist;
+        store_sum := saved_ssum;
+        proc_sum := saved_psum;
+        if crash_faults then begin
+          Machine.crash_frame m pid;
+          proc_sum :=
+            !proc_sum
+            - Fingerprint.proc_hash ~pid Proc.Running saved_hist
+            + Fingerprint.proc_hash ~pid Proc.Crashed saved_hist;
+          go (Engine.crash pc pid) hp;
+          Machine.uncrash_frame m pid;
+          proc_sum := saved_psum
+        end)
+      (Engine.enabled pc);
+    check pc hp
+  in
+  go config0 (Array.make n Fingerprint.history_empty);
+  !nodes
+
+let test_frame_lockstep () =
+  let fixture = Lepower_check.Lint.broken_cas_fixture () in
+  List.iter
+    (fun (name, config) ->
+      let nodes = lockstep_walk ~name ~crash_faults:true config in
+      (* the walk covers exactly the space the naive explorer counts *)
+      let stats =
+        Explore.explore
+          ~options:{ Explore.Options.default with crash_faults = true }
+          config
+      in
+      Alcotest.(check int)
+        (name ^ ": every configuration walked")
+        stats.Explore.configs_visited nodes)
+    [
+      ("cas k=4 n=3", Protocols.Election.config cas_instance);
+      ( "broken-cas",
+        Engine.init
+          (Store.create fixture.Lepower_check.Lint.bindings)
+          fixture.Lepower_check.Lint.programs );
+    ]
 
 (* --- whole-space agreement across backends --- *)
 
@@ -298,49 +405,32 @@ let test_decision_sets_agree () =
         (sets Engine.Persistent = sets Engine.Arena))
     modes
 
-let test_verify_backend () =
-  (* The lockstep debug flag shadows every machine move with the
-     persistent reference and fails on the first divergence.  Running it
-     per mode also keeps the journaled reduced path (the fallback the
-     lockstep shadow runs on) exercised alongside the journal-free
-     walk. *)
-  List.iter
-    (fun (mode, dedup, por) ->
-      let stats =
-        Protocols.Election.explore_stats cas_instance ~max_steps:60
-          ~options:
-            { (opts ~dedup ~por Engine.Arena) with verify_backend = true }
-      in
-      match stats with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "%s: verify_backend run failed: %s" mode e)
-    modes
-
-(* --- fuzz certificates: identical across backends, replay on both --- *)
-
-let test_fuzz_certs_agree () =
-  let outcome backend =
-    Protocols.Election.fuzz ~runs:256 ~seed:1 ~plan:Runtime.Faults.default
-      ~kind:Runtime.Fuzz.Random_walk ~shrink:false ~backend cas_instance
+(* Reduced arena runs whose sleep set outgrows one int (2n > 62) take
+   the persistent walk; the stats must not notice.  No crash faults:
+   with crashes the crash subsets alone make 2^32 states. *)
+let test_oversized_route () =
+  let config =
+    Protocols.Election.config (Protocols.Cas_election.instance ~k:33 ~n:32)
   in
-  let op = outcome Engine.Persistent and oa = outcome Engine.Arena in
+  let stats backend =
+    Explore.explore
+      ~options:
+        {
+          Explore.Options.default with
+          max_steps = 3;
+          dedup = true;
+          por = true;
+          backend;
+        }
+      config
+  in
+  let sp = stats Engine.Persistent in
   Alcotest.(check bool)
-    "fault fuzz finds a violation" true
-    (op.Runtime.Fuzz.cert <> None);
+    "walk is nontrivial" true
+    (sp.Explore.configs_visited > 1);
   Alcotest.(check bool)
-    "certificates identical across backends" true
-    (op.Runtime.Fuzz.cert = oa.Runtime.Fuzz.cert);
-  match op.Runtime.Fuzz.cert with
-  | None -> ()
-  | Some cert ->
-    let config = Protocols.Election.config cas_instance in
-    List.iter
-      (fun backend ->
-        match Runtime.Repro.replay ~backend cert config with
-        | Ok _ -> ()
-        | Error e ->
-          Alcotest.failf "replay on %s: %s" (Engine.backend_name backend) e)
-      [ Engine.Persistent; Engine.Arena ]
+    "stats identical across backends" true
+    (sp = stats Engine.Arena)
 
 (* --- forced closure fallback: machine == engine, digest-for-digest --- *)
 
@@ -348,27 +438,36 @@ let test_fallback_digest () =
   (* max_nodes:1 forces every pid to bail out of compilation, so the
      machine runs the closure interpreter over the arena — its outcome
      must still be digest-identical to the persistent engine's. *)
-  let run_digest mk_outcome =
-    let outcome = mk_outcome () in
-    Fingerprint.digest outcome.Engine.final
-  in
+  let config = Protocols.Election.config cas_instance in
   List.iter
     (fun seed ->
-      let sched () = Runtime.Sched.random ~seed in
-      let dp =
-        run_digest (fun () ->
-            Engine.run ~max_steps:400 ~sched:(sched ())
-              (Protocols.Election.config cas_instance))
+      let sched, schedule =
+        Runtime.Repro.recording (Runtime.Sched.random ~seed)
       in
-      let da =
-        run_digest (fun () ->
-            Machine.run ~max_steps:400 ~sched:(sched ())
-              (Machine.of_config ~max_nodes:1
-                 (Protocols.Election.config cas_instance)))
-      in
+      let outcome = Engine.run ~max_steps:400 ~sched config in
+      (* drive the machine along the persistent run's recorded schedule *)
+      let m = Machine.of_config ~max_nodes:1 config in
+      List.iter
+        (function
+          | Runtime.Repro.Step pid -> Machine.step m pid
+          | d ->
+            Alcotest.failf "unexpected decision %a" Runtime.Repro.Decision.pp d)
+        (schedule ());
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: every pid bailed to closures" seed)
+        true
+        (Array.for_all
+           (fun (r : Runtime.Program.Compiled.report) ->
+             r.Runtime.Program.Compiled.bailed)
+           (Machine.reports m));
       Alcotest.(check string)
         (Printf.sprintf "seed %d: fallback digest" seed)
-        dp da)
+        (Fingerprint.digest outcome.Engine.final)
+        (Fingerprint.digest (Machine.config m));
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: fallback trace and statuses" seed)
+        true
+        (Engine.config_equal outcome.Engine.final (Machine.config m)))
     [ 0; 1; 2; 3 ]
 
 (* --- the engine's read classification matches the specs --- *)
@@ -422,9 +521,8 @@ let () =
         [
           Alcotest.test_case "explore stats" `Quick test_explore_stats_agree;
           Alcotest.test_case "decision sets" `Quick test_decision_sets_agree;
-          Alcotest.test_case "verify-backend lockstep" `Quick
-            test_verify_backend;
-          Alcotest.test_case "fuzz certificates" `Quick test_fuzz_certs_agree;
+          Alcotest.test_case "frame lockstep" `Quick test_frame_lockstep;
+          Alcotest.test_case "oversized route" `Quick test_oversized_route;
           Alcotest.test_case "forced fallback digest" `Quick
             test_fallback_digest;
         ] );
