@@ -342,8 +342,8 @@ let explore_dedup =
            + per-process state) and prune revisits.  Sound here: the \
            election predicate is trace-order-insensitive.  Under --backend \
            arena the fingerprint is maintained incrementally from each \
-           step's delta and revisit probes compare machine snapshots in \
-           place.")
+           step's delta and the visited table stores each configuration \
+           as a fixed-width key of interned int ids.")
 
 let explore_por =
   Arg.(

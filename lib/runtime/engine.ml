@@ -1050,10 +1050,10 @@ module Machine = struct
   let crash_frame m pid = m.statuses.(pid) <- st_crashed
   let uncrash_frame m pid = m.statuses.(pid) <- st_running
 
-  (* Compact machine snapshots: the structural payload a visited-set
-     entry needs to disambiguate hash collisions — store states in slot
+  (* Compact machine snapshots: the structural state that tells
+     configurations of one exploration apart — store states in slot
      order plus per-process status — with an equality that compares the
-     snapshot against the *live* machine, so a lookup hit materializes
+     snapshot against the *live* machine, so a comparison materializes
      nothing.  Location names are deliberately absent: within one
      exploration the arena layout is fixed, so slot index [i] always
      denotes the same location and comparing values slotwise makes

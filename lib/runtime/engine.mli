@@ -284,27 +284,32 @@ module Machine : sig
 
   (** {2 Machine snapshots}
 
-      The structural payload a visited-set entry stores to disambiguate
-      hash collisions: store states in arena slot order plus per-process
-      status, {e without} location names — within one exploration the
-      arena layout is fixed, so slotwise value comparison makes exactly
-      the distinctions {!Fingerprint.equal} makes on the sorted binding
-      list.  Process histories are not included; they live in the
-      explorer, which compares them alongside. *)
+      A compact copy of the structural state that distinguishes
+      configurations of one exploration: store states in arena slot
+      order plus per-process status, {e without} location names —
+      within one exploration the arena layout is fixed, so slotwise
+      value comparison makes exactly the distinctions
+      {!Fingerprint.equal} makes on the sorted binding list.  Process
+      histories are not included.  The explorer's visited table does
+      not store snapshots: it keeps each configuration as a fixed-width
+      key of interned int ids, maintained beside the incremental
+      fingerprint sums.  Snapshots remain for callers that want to
+      capture and re-compare a machine state, such as layer
+      benchmarks. *)
 
   type snapshot
 
   val snapshot : t -> snapshot
   (** Capture the current store states and process statuses.
-      O(locs + procs), two small array copies — no journal walk, no
+      O(locs + procs), a few small array copies — no journal walk, no
       binding-list or [config] materialization. *)
 
   val snapshot_equal : t -> snapshot -> bool
   (** Compare a stored snapshot against the {e live} machine — the
-      machine side materializes nothing, so a visited-set probe that
-      hits allocates nothing.  Only meaningful between a snapshot and a
-      machine of the same exploration (same arena layout and process
-      count); mismatched shapes compare unequal. *)
+      machine side materializes nothing, so a comparison allocates
+      nothing.  Only meaningful between a snapshot and a machine of the
+      same exploration (same arena layout and process count);
+      mismatched shapes compare unequal. *)
 
   val config : t -> config
   (** Materialize the current state as a persistent configuration

@@ -222,90 +222,274 @@ let acc_merge into from =
   into.a_por_checks <- into.a_por_checks + from.a_por_checks;
   into.a_fast <- into.a_fast + from.a_fast
 
-(* The reduced walk's visited table.  [Fingerprint.Tbl] would force the
-   walk to materialize a full fingerprint record (sorted binding list +
-   procs array) per lookup just so [Hashtbl] has a key to hash and
-   compare — on the dedup-heavy workloads that costs more than the walk
-   itself (three lookups per stored config on cas k=8 n=7).  Instead
-   each entry keeps a compact {!Engine.Machine.snapshot} plus the
-   history array, and a probe compares entries against the *live*
-   machine — a hit allocates nothing; only a miss (first visit) pays
-   the snapshot.  Same hash ({!Fingerprint.combine} of the incremental
-   sums) and the same structural distinctions as [Fingerprint.equal],
-   so hit/miss decisions — and therefore every stat — stay
-   byte-identical with the reference walk. *)
-type rentry = {
-  re_hash : int;
-  re_snap : Engine.Machine.snapshot;
-  re_hists : Fingerprint.history array;
-  mutable re_sleep : int;  (** bitset sleep set stored at first visit *)
+(* Intern tables of the reduced walk's visited table.  States and
+   decided values compare by [Value.equal], physical identity first:
+   memoized transitions reinstall the same value blocks.  Histories
+   compare structurally by [Fingerprint.history_equal], whose identity
+   shortcut makes the usual lookup of a hash-consed history a pointer
+   check. *)
+module Vtbl = Hashtbl.Make (struct
+  type t = Memory.Value.t
+
+  let equal a b = a == b || Memory.Value.equal a b
+  let hash = Memory.Value.hash
+end)
+
+module Htbl = Hashtbl.Make (struct
+  type t = Fingerprint.history
+
+  let equal = Fingerprint.history_equal
+  let hash = Fingerprint.history_hash
+end)
+
+(* The reduced arena walk's visited table: open addressing over
+   fixed-width int keys.  A configuration's key has [W = L + n] words:
+   one interned state id per arena slot, then one word per process
+   packing its status code, an interned payload id (decided value or
+   fault message) and an interned history id.  Key equality makes
+   exactly the distinctions [Fingerprint.equal] makes — the arena
+   layout is fixed within an exploration, so slot [i] always names the
+   same location, and each id stands for one class of the equality
+   [Fingerprint.equal] applies to that component — and the hash is
+   [Fingerprint.combine] of the incremental sums, so hit/miss decisions,
+   and with them every stat, are the reference walk's.
+
+   Neither the key store nor the index holds a pointer.  Keys sit in
+   fixed-size int-array chunks that are never doubled and copied, each
+   entry its stored sleep bitset followed by its [W] key words; the
+   index is an int array probed linearly at load <= 1/2, one word per
+   slot: the entry number plus one ([0]: free slot) in the low
+   [entry_bits] bits, the hash's low 32 bits above them, so a probe
+   reads a chunk only on a 32-bit hash match and a resize needs no
+   key.  A probe is [W] int compares against one contiguous block and
+   an insert is one blit; neither allocates (an insert starts a new
+   chunk every 1024 entries and doubles the index at half load), and
+   the GC neither promotes nor scans an entry.
+
+   The intern tables belong to the table, not to a walk: with
+   [domains > 1] one worker's table serves several frontier items, each
+   its own walk with its own hash-consing table, and [split_frontier]
+   builds their starting histories un-consed.  So ids are assigned
+   structurally and mean the same in every walk the table serves. *)
+type ktbl = {
+  mutable k_width : int;  (** [W], fixed by the first walk; [-1] before *)
+  mutable k_chunks : int array array;  (** [[||]]: chunk not allocated *)
+  mutable k_count : int;
+  mutable k_index : int array;
+  k_values : int Vtbl.t;  (** store states and decided values *)
+  k_faults : (string, int) Hashtbl.t;
+  k_hists : int Htbl.t;
 }
 
-type rtbl = { mutable r_buckets : rentry list array; mutable r_count : int }
+let chunk_bits = 10
+let chunk_mask = (1 lsl chunk_bits) - 1
+let entry_bits = 31
+let entry_mask = (1 lsl entry_bits) - 1
+let tag_mask = (1 lsl 32) - 1
 
-let rtbl_create size = { r_buckets = Array.make (max 16 size) []; r_count = 0 }
+(* A process word: status code in bits 0-1, payload id in bits 2-23,
+   history id above.  Ids are dense from 0; an id that outgrows its
+   field fails loudly instead of colliding. *)
+let code_crashed = 1
+let code_decided = 2
+let code_faulty = 3
+let payload_shift = 2
+let hist_shift = 24
+let max_payload = 1 lsl (hist_shift - payload_shift)
+let max_hist = 1 lsl (Sys.int_size - 1 - hist_shift)
 
-let rtbl_find tbl m histories h =
-  let bs = tbl.r_buckets in
-  let n = Array.length histories in
-  let rec scan = function
-    | [] -> None
-    | e :: rest ->
+let ktbl_create () =
+  {
+    k_width = -1;
+    k_chunks = [||];
+    k_count = 0;
+    k_index = Array.make 1024 0;
+    k_values = Vtbl.create 64;
+    k_faults = Hashtbl.create 8;
+    k_hists = Htbl.create 256;
+  }
+
+(* Every walk a table serves explores the same initial configuration's
+   arena layout and process count. *)
+let ktbl_shape t w =
+  if t.k_width < 0 then t.k_width <- w
+  else if t.k_width <> w then
+    invalid_arg "Explore: visited table shared by walks of different shapes"
+
+let field_overflow what limit =
+  failwith
+    (Printf.sprintf
+       "Explore: more than %d distinct %s in one visited table; the key \
+        field for them is full"
+       limit what)
+
+let value_id t v =
+  match Vtbl.find t.k_values v with
+  | id -> id
+  | exception Not_found ->
+    let id = Vtbl.length t.k_values in
+    Vtbl.add t.k_values v id;
+    id
+
+let fault_id t msg =
+  match Hashtbl.find t.k_faults msg with
+  | id -> id
+  | exception Not_found ->
+    let id = Hashtbl.length t.k_faults in
+    Hashtbl.add t.k_faults msg id;
+    id
+
+let hist_id t h =
+  match Htbl.find t.k_hists h with
+  | id -> id
+  | exception Not_found ->
+    let id = Htbl.length t.k_hists in
+    if id >= max_hist then field_overflow "process histories" max_hist;
+    Htbl.add t.k_hists h id;
+    id
+
+let payload id =
+  if id >= max_payload then
+    field_overflow "decided values, states or fault messages" max_payload;
+  id lsl payload_shift
+
+let proc_word t (status : Proc.status) hid =
+  let base = hid lsl hist_shift in
+  match status with
+  | Proc.Running -> base
+  | Proc.Crashed -> base lor code_crashed
+  | Proc.Decided v -> base lor payload (value_id t v) lor code_decided
+  | Proc.Faulty msg -> base lor payload (fault_id t msg) lor code_faulty
+
+(* Entry number of [key] (hash [h]), or [-1]. *)
+let ktbl_find t key h =
+  let idx = t.k_index and w = t.k_width in
+  let mask = Array.length idx - 1 and tag = h land tag_mask in
+  let want = tag lsl entry_bits in
+  let rec probe s =
+    let x = idx.(s) in
+    if x = 0 then -1
+    else
+      let e = (x land entry_mask) - 1 in
       if
-        e.re_hash = h
-        (* histories first: hash-consing makes the usual hit a run of
-           pointer equalities, cheaper than the snapshot's value
-           comparisons *)
-        && (let rec hists i =
-              i >= n
-              || (Fingerprint.history_equal e.re_hists.(i) histories.(i)
-                 && hists (i + 1))
-            in
-            hists 0)
-        && Engine.Machine.snapshot_equal m e.re_snap
-      then Some e
-      else scan rest
+        x land lnot entry_mask = want
+        &&
+        let c = t.k_chunks.(e lsr chunk_bits)
+        and off = ((e land chunk_mask) * (w + 1)) + 1 in
+        (* in bounds: [key] has [W] words and every entry [W + 1] *)
+        let rec same i =
+          i >= w
+          || (Array.unsafe_get c (off + i) = Array.unsafe_get key i
+             && same (i + 1))
+        in
+        same 0
+      then e
+      else probe ((s + 1) land mask)
   in
-  scan bs.(h mod Array.length bs)
+  probe (tag land mask)
 
-let rtbl_add tbl m histories h sleep =
-  (if tbl.r_count >= 2 * Array.length tbl.r_buckets then begin
-     let bs' = Array.make (2 * Array.length tbl.r_buckets) [] in
-     Array.iter
-       (List.iter (fun e ->
-            let i = e.re_hash mod Array.length bs' in
-            bs'.(i) <- e :: bs'.(i)))
-       tbl.r_buckets;
-     tbl.r_buckets <- bs'
+let ktbl_sleep t e =
+  t.k_chunks.(e lsr chunk_bits).((e land chunk_mask) * (t.k_width + 1))
+
+let ktbl_set_sleep t e sleep =
+  t.k_chunks.(e lsr chunk_bits).((e land chunk_mask) * (t.k_width + 1)) <-
+    sleep
+
+(* [x]: an index word, whose tag bits pick its home slot. *)
+let index_insert idx x =
+  let mask = Array.length idx - 1 in
+  let rec go s =
+    if idx.(s) = 0 then idx.(s) <- x else go ((s + 1) land mask)
+  in
+  go ((x lsr entry_bits) land mask)
+
+let ktbl_add t key h sleep =
+  let stride = t.k_width + 1 and e = t.k_count in
+  if e >= entry_mask then field_overflow "configurations" entry_mask;
+  let c = e lsr chunk_bits in
+  (if c = Array.length t.k_chunks then begin
+     let cs = Array.make (max 8 (2 * c)) [||] in
+     Array.blit t.k_chunks 0 cs 0 c;
+     t.k_chunks <- cs
    end);
-  let i = h mod Array.length tbl.r_buckets in
-  tbl.r_buckets.(i) <-
-    {
-      re_hash = h;
-      re_snap = Engine.Machine.snapshot m;
-      re_hists = Array.copy histories;
-      re_sleep = sleep;
-    }
-    :: tbl.r_buckets.(i);
-  tbl.r_count <- tbl.r_count + 1
+  if Array.length t.k_chunks.(c) = 0 then
+    t.k_chunks.(c) <- Array.make ((chunk_mask + 1) * stride) 0;
+  let chunk = t.k_chunks.(c) and off = (e land chunk_mask) * stride in
+  chunk.(off) <- sleep;
+  Array.blit key 0 chunk (off + 1) t.k_width;
+  t.k_count <- e + 1;
+  (if 2 * t.k_count > Array.length t.k_index then begin
+     let idx = t.k_index in
+     let idx' = Array.make (2 * Array.length idx) 0 in
+     Array.iter (fun x -> if x <> 0 then index_insert idx' x) idx;
+     t.k_index <- idx'
+   end);
+  index_insert t.k_index (((h land tag_mask) lsl entry_bits) lor (e + 1))
+
+(* Heap footprint in bytes: the key chunks, the index, and the intern
+   tables — their buckets, their bindings and the history cells they
+   keep alive.  Interned state and decision values are shared with the
+   machine's transition memos and are not counted. *)
+let ktbl_bytes t =
+  let block len = len + 1 in
+  let chunks =
+    Array.fold_left
+      (fun acc c ->
+        if Array.length c = 0 then acc else acc + block (Array.length c))
+      (block (Array.length t.k_chunks))
+      t.k_chunks
+  in
+  let interned ~buckets ~bindings = block buckets + (4 * bindings) in
+  let words =
+    block 7 + chunks
+    + block (Array.length t.k_index)
+    + interned
+        ~buckets:(Vtbl.stats t.k_values).Hashtbl.num_buckets
+        ~bindings:(Vtbl.length t.k_values)
+    + interned
+        ~buckets:(Hashtbl.stats t.k_faults).Hashtbl.num_buckets
+        ~bindings:(Hashtbl.length t.k_faults)
+    + interned
+        ~buckets:(Htbl.stats t.k_hists).Hashtbl.num_buckets
+        ~bindings:(Htbl.length t.k_hists)
+    + (6 * Htbl.length t.k_hists)
+  in
+  words * (Sys.word_size / 8)
 
 (* Visited-set representation, fixed per run by [opts]: [explore_seq]
    stores the sleep set at first visit as a move list keyed by full
-   fingerprints; the reduced arena walk uses the snapshot table above.
+   fingerprints; the reduced arena walk uses the key table above.
    Dispatch depends on [opts] alone — never on a particular DFS item —
    so workers can pick the representation before seeing any work and
    share one table across their frontier items. *)
 type visited_tbl =
   | V_lists of move list Fingerprint.Tbl.t
-  | V_bits of rtbl
+  | V_keys of ktbl
 
 let visited_create opts size =
   if not opts.o_dedup then None
-  else if opts.o_walker = Arena_reduced then Some (V_bits (rtbl_create size))
+  else if opts.o_walker = Arena_reduced then Some (V_keys (ktbl_create ()))
   else Some (V_lists (Fingerprint.Tbl.create size))
 
 let visited_lists = function Some (V_lists t) -> Some t | _ -> None
-let visited_bits = function Some (V_bits t) -> Some t | _ -> None
+let visited_keys = function Some (V_keys t) -> Some t | _ -> None
+
+let g_visited_entries = Lepower_obs.Metrics.gauge "explore.visited.entries"
+let g_visited_bytes = Lepower_obs.Metrics.gauge "explore.visited.bytes"
+
+(* Size of the reduced arena walk's visited tables, summed over the
+   workers that built them: set once per exploration, never per probe. *)
+let record_visited opts tables =
+  if
+    opts.o_walker = Arena_reduced && opts.o_dedup
+    && Lepower_obs.Metrics.is_enabled ()
+  then begin
+    let keys = List.filter_map visited_keys tables in
+    let sum f = List.fold_left (fun acc t -> acc + f t) 0 keys in
+    Lepower_obs.Metrics.set g_visited_entries
+      (Float.of_int (sum (fun t -> t.k_count)));
+    Lepower_obs.Metrics.set g_visited_bytes (Float.of_int (sum ktbl_bytes))
+  end
 
 let initial_histories (config : Engine.config) =
   Array.make (Array.length config.Engine.procs) Fingerprint.history_empty
@@ -577,11 +761,12 @@ let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
    [Machine.frame]s — memo-hit steps bypass the journal entirely and
    crashes are unjournaled status flips.  Sleep sets are int bitsets
    ([Step_m p] at bit [p], [Crash_m p] at bit [n + p]; dispatch
-   guarantees [2n <= 62]), and the dedup key is assembled from the
-   incrementally maintained fingerprint sums, so no [Machine.config],
-   no move list and no sleep list is ever materialized on the hot
-   path.  Leaf hooks observe the machine through the same flat view as
-   the naive checked walk, replaying the recorded move path on demand.
+   guarantees [2n <= 62]).  The dedup hash comes from incrementally
+   maintained fingerprint sums and the dedup key is a live int array
+   updated beside them, so no [Machine.config], no move list and no
+   sleep list is ever materialized on the hot path.  Leaf hooks observe
+   the machine through the same flat view as the naive checked walk,
+   replaying the recorded move path on demand.
 
    Fidelity: traversal order (pids ascending, step before crash, crash
    at the same depth), counter cadence (including the [a_por_checks] /
@@ -596,52 +781,67 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
   let n = Engine.Machine.n_procs m in
   let histories = Array.copy histories0 in
   let store_sum = ref 0 and proc_sum = ref 0 in
+  let bindings = Engine.Machine.state_bindings m in
+  let nl = List.length bindings in
+  (* The live visited-table key ({!ktbl}): [key.(slot)] is the interned
+     state of arena slot [slot], [key.(nl + pid)] process [pid]'s word.
+     Updated beside the fingerprint sums at every move and restored on
+     backtrack; without dedup it stays all zero. *)
+  let key = Array.make (nl + n) 0 in
   (* Per-walk fingerprint plumbing: histories are extended through a
      hash-consing table so re-derived spines stay physically shared
-     (visited-set hits then compare by pointer), and each location's
+     (history interning then hits by pointer), and each location's
      [store_binding_hash] string prefix is precomputed per arena slot so
      a step's store delta is two value folds, no string walks. *)
   let hc = Fingerprint.hcons_create 1024 in
-  (* One-entry per-pid extension cache in front of [hc]: right after
-     backtracking, a sibling branch re-extends the same (physical) tail
-     with the same memoized event blocks, so even the consing probe's
-     hashing is skippable.  Physical-only compares — a false miss just
-     falls through to [hc], which guarantees the canonical block. *)
+  (* One-entry per-pid extension cache in front of [hc] and the
+     table's history ids: right after backtracking, a sibling branch
+     re-extends the same (physical) tail with the same memoized event
+     blocks, so the consing probe's hashing and the id lookup are both
+     skippable.  Physical-only compares — a false miss just falls
+     through to [hc], which guarantees the canonical block. *)
   let ext_tl = Array.make n Fingerprint.history_empty in
   let ext_loc = Array.make n "" in
   let ext_op = Array.make n Memory.Value.Unit in
   let ext_result = Array.make n Memory.Value.Unit in
   let ext_ev = Array.make n Fingerprint.history_empty in
-  let extend pid tl ~loc ~op ~result =
+  let ext_id = Array.make n 0 in
+  (* Leaves the extension in [ext_ev.(pid)] and its id in
+     [ext_id.(pid)]. *)
+  let extend tbl pid tl ~loc ~op ~result =
     if
-      ext_tl.(pid) == tl
-      && ext_loc.(pid) == loc
-      && ext_op.(pid) == op
-      && ext_result.(pid) == result
-    then ext_ev.(pid)
-    else begin
+      not
+        (ext_tl.(pid) == tl
+        && ext_loc.(pid) == loc
+        && ext_op.(pid) == op
+        && ext_result.(pid) == result)
+    then begin
       let ev = Fingerprint.history_extend_hc hc tl ~loc ~op ~result in
       ext_tl.(pid) <- tl;
       ext_loc.(pid) <- loc;
       ext_op.(pid) <- op;
       ext_result.(pid) <- result;
       ext_ev.(pid) <- ev;
-      ev
+      ext_id.(pid) <- hist_id tbl ev
     end
   in
   let seeds =
-    if opts.o_dedup then
-      Array.of_list
-        (List.map
-           (fun (l, _) -> Fingerprint.store_seed l)
-           (Engine.Machine.state_bindings m))
-    else [||]
+    Array.of_list (List.map (fun (l, _) -> Fingerprint.store_seed l) bindings)
   in
-  (if opts.o_dedup then begin
-     let s, p = Fingerprint.sums config0 histories0 in
-     store_sum := s;
-     proc_sum := p
-   end);
+  (match visited with
+  | None -> ()
+  | Some tbl ->
+    ktbl_shape tbl (nl + n);
+    List.iteri (fun slot (_, v) -> key.(slot) <- value_id tbl v) bindings;
+    for pid = 0 to n - 1 do
+      key.(nl + pid) <-
+        proc_word tbl
+          (Engine.Machine.status m pid)
+          (hist_id tbl histories.(pid))
+    done;
+    let s, p = Fingerprint.sums config0 histories0 in
+    store_sum := s;
+    proc_sum := p);
   (* Move path + per-move frames: [mc] indexes both.  At most
      [max_steps] step moves plus one crash per process on any branch. *)
   let slots = opts.o_max_steps + n + 2 in
@@ -781,29 +981,40 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
                let f = frame_at mc in
                let saved_hist = histories.(pid) in
                let saved_ssum = !store_sum and saved_psum = !proc_sum in
+               let saved_word = key.(nl + pid) in
+               let saved_slot = ref (-1) and saved_state = ref 0 in
                Engine.Machine.step_frame m pid f;
-               (if opts.o_dedup then begin
-                  (if Engine.Machine.frame_step_event m f then begin
-                     let loc = Engine.Machine.frame_loc m f in
-                     let seed = seeds.(Engine.Machine.frame_loc_id m f) in
-                     histories.(pid) <-
-                       extend pid histories.(pid) ~loc
-                         ~op:(Engine.Machine.frame_op m f)
-                         ~result:(Engine.Machine.frame_result m f);
+               (match visited with
+               | None -> ()
+               | Some tbl ->
+                 let hid =
+                   if Engine.Machine.frame_step_event m f then begin
+                     let slot = Engine.Machine.frame_loc_id m f in
+                     let old_state = Engine.Machine.frame_old_state m f
+                     and new_state = Engine.Machine.frame_new_state m f in
+                     extend tbl pid histories.(pid)
+                       ~loc:(Engine.Machine.frame_loc m f)
+                       ~op:(Engine.Machine.frame_op m f)
+                       ~result:(Engine.Machine.frame_result m f);
+                     histories.(pid) <- ext_ev.(pid);
                      store_sum :=
                        !store_sum
-                       - Memory.Value.hash_fold seed
-                           (Engine.Machine.frame_old_state m f)
-                       + Memory.Value.hash_fold seed
-                           (Engine.Machine.frame_new_state m f)
-                   end);
-                  proc_sum :=
-                    !proc_sum
-                    - Fingerprint.proc_hash ~pid Proc.Running saved_hist
-                    + Fingerprint.proc_hash ~pid
-                        (Engine.Machine.status m pid)
-                        histories.(pid)
-                end);
+                       - Memory.Value.hash_fold seeds.(slot) old_state
+                       + Memory.Value.hash_fold seeds.(slot) new_state;
+                     saved_slot := slot;
+                     saved_state := key.(slot);
+                     if new_state != old_state then
+                       key.(slot) <- value_id tbl new_state;
+                     ext_id.(pid)
+                   end
+                   else saved_word lsr hist_shift
+                 in
+                 let status = Engine.Machine.status m pid in
+                 proc_sum :=
+                   !proc_sum
+                   - Fingerprint.proc_hash ~pid Proc.Running saved_hist
+                   + Fingerprint.proc_hash ~pid status histories.(pid);
+                 key.(nl + pid) <- proc_word tbl status hid);
                Array.unsafe_set path mc pid;
                go (depth + 1) (mc + 1)
                  (if Engine.Machine.is_running m pid then running
@@ -813,6 +1024,8 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
                histories.(pid) <- saved_hist;
                store_sum := saved_ssum;
                proc_sum := saved_psum;
+               key.(nl + pid) <- saved_word;
+               if !saved_slot >= 0 then key.(!saved_slot) <- !saved_state;
                if opts.o_por then explored := !explored lor (1 lsl pid)
              end);
             if opts.o_crash_faults then begin
@@ -824,17 +1037,22 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
                     child_sleep_of accs (!explored lor sleep) pid true
                   else 0
                 in
-                let saved_psum = !proc_sum in
+                let saved_psum = !proc_sum and saved_word = key.(nl + pid) in
                 Engine.Machine.crash_frame m pid;
-                (if opts.o_dedup then
-                   proc_sum :=
-                     !proc_sum
-                     - Fingerprint.proc_hash ~pid Proc.Running histories.(pid)
-                     + Fingerprint.proc_hash ~pid Proc.Crashed histories.(pid));
+                (match visited with
+                | None -> ()
+                | Some _ ->
+                  proc_sum :=
+                    !proc_sum
+                    - Fingerprint.proc_hash ~pid Proc.Running histories.(pid)
+                    + Fingerprint.proc_hash ~pid Proc.Crashed histories.(pid);
+                  (* a running process's word has payload 0 *)
+                  key.(nl + pid) <- saved_word lor code_crashed);
                 Array.unsafe_set path mc (-pid - 1);
                 go depth (mc + 1) (running - 1) child_sleep;
                 Engine.Machine.uncrash_frame m pid;
                 proc_sum := saved_psum;
+                key.(nl + pid) <- saved_word;
                 if opts.o_por then explored := !explored lor (1 lsl (n + pid))
               end
             end
@@ -844,26 +1062,28 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
     in
     match visited with
     | None -> proceed sleep
-    | Some tbl -> (
+    | Some tbl ->
       let tok = Lepower_prof.Phase.enter ph_fingerprint in
-      let action =
-        let h =
-          Fingerprint.combine ~store_sum:!store_sum ~proc_sum:!proc_sum
-        in
-        match rtbl_find tbl m histories h with
-        | None ->
-          rtbl_add tbl m histories h (if leaf then 0 else sleep);
-          `Proceed sleep
-        | Some e when leaf || e.re_sleep land lnot sleep = 0 -> `Dedup
-        | Some e ->
-          let sleep = sleep land e.re_sleep in
-          e.re_sleep <- sleep;
-          `Proceed sleep
+      let h = Fingerprint.combine ~store_sum:!store_sum ~proc_sum:!proc_sum in
+      let e = ktbl_find tbl key h in
+      (* [-1]: dedup; otherwise the sleep set to proceed under (bitsets
+         use bits below 62, so they are never negative) *)
+      let next =
+        if e < 0 then begin
+          ktbl_add tbl key h (if leaf then 0 else sleep);
+          sleep
+        end
+        else
+          let stored = ktbl_sleep tbl e in
+          if leaf || stored land lnot sleep = 0 then -1
+          else begin
+            let sleep = sleep land stored in
+            ktbl_set_sleep tbl e sleep;
+            sleep
+          end
       in
       Lepower_prof.Phase.leave tok;
-      match action with
-      | `Dedup -> acc.a_deduped <- acc.a_deduped + 1
-      | `Proceed sleep -> proceed sleep)
+      if next < 0 then acc.a_deduped <- acc.a_deduped + 1 else proceed next
   in
   let running0 = ref 0 in
   for pid = 0 to n - 1 do
@@ -891,7 +1111,7 @@ let explore_item ~opts ~acc ?tick ~visited ~analyze ~on_terminal
          ~on_truncated item)
   | Arena_reduced ->
     lowered
-      (explore_arena_reduced ~opts ~acc ?tick ~visited:(visited_bits visited)
+      (explore_arena_reduced ~opts ~acc ?tick ~visited:(visited_keys visited)
          ~analyze ~on_terminal ~on_truncated item)
 
 (* ------------------------------------------------------------------ *)
@@ -1042,7 +1262,7 @@ let run_parallel ~opts ~acc ~domains ~progress ~analyze ~on_terminal
   in
   Lepower_obs.Metrics.set g_frontier (Float.of_int (List.length frontier));
   match frontier with
-  | [] -> 1 (* the whole space fit in the frontier expansion *)
+  | [] -> (1, []) (* the whole space fit in the frontier expansion *)
   | _ ->
     let items = Array.of_list frontier in
     let nd = min domains (Array.length items) in
@@ -1087,14 +1307,14 @@ let run_parallel ~opts ~acc ~domains ~progress ~analyze ~on_terminal
               Lepower_prof.Phase.leave tok;
               Lepower_obs.Metrics.set (g_domain_busy w)
                 (Unix.gettimeofday () -. t0);
-              (wacc, !failed)))
+              (wacc, !failed, visited)))
     in
     let results = List.map Domain.join workers in
-    List.iter (fun (wacc, _) -> acc_merge acc wacc) results;
-    (match List.find_map (fun (_, e) -> e) results with
+    List.iter (fun (wacc, _, _) -> acc_merge acc wacc) results;
+    (match List.find_map (fun (_, e, _) -> e) results with
     | Some e -> raise e
     | None -> ());
-    nd
+    (nd, List.map (fun (_, _, visited) -> visited) results)
 
 let with_mutex mutex f =
   Option.map
@@ -1137,9 +1357,10 @@ let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
             (fun () -> f reports))
   in
   let acc = acc_create () in
-  let finish domains_used =
+  let finish (domains_used, tables) =
     (* Counters maintained once, from the merged totals, so they stay
        deterministic and race-free even under domain parallelism. *)
+    record_visited opts tables;
     Lepower_obs.Metrics.incr m_configs ~by:acc.a_configs;
     Lepower_obs.Metrics.incr m_choice_points ~by:acc.a_choice_points;
     Lepower_obs.Metrics.incr m_terminals ~by:acc.a_terminals;
@@ -1161,7 +1382,7 @@ let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
       domains_used;
     }
   in
-  let domains_used =
+  let run =
     Lepower_obs.Span.with_span "explore.explore"
       ~args:
         [
@@ -1194,7 +1415,7 @@ let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
             ~on_truncated ~on_lowering
             (config, initial_histories config, 0, []);
           Lepower_prof.Phase.leave tok;
-          1
+          (1, [ visited ])
         end
         else if serialize then begin
           let mutex = Mutex.create () in
@@ -1208,7 +1429,7 @@ let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
           run_parallel ~opts ~acc ~domains ~progress ~analyze ~on_terminal
             ~on_truncated ~on_lowering config)
   in
-  finish domains_used
+  finish run
 
 let explore ?(options = Options.default) config =
   explore_inner ~serialize:true ~options
@@ -1300,13 +1521,6 @@ let check_all_gen ~guard ~(options : Options.t) config predicate =
 
 let check_all ?(options = Options.default) config predicate =
   check_all_gen ~guard:true ~options config predicate
-
-module Vtbl = Hashtbl.Make (struct
-  type t = Memory.Value.t
-
-  let equal = Memory.Value.equal
-  let hash = Memory.Value.hash
-end)
 
 let decision_sets ?(options = Options.default) config =
   (* Keyed by the canonical (sorted) decision multiset in a hash table:

@@ -51,10 +51,10 @@ val history_extend_hc :
     Re-extending the same (physical) tail with an equal event returns
     the {e same} history block, so histories re-derived along commuting
     interleavings become physically equal and {!history_equal}'s
-    identity shortcut makes visited-set hits O(procs) pointer checks
-    instead of full spine walks.  Purely an optimization — the returned history is
-    structurally identical to {!history_extend}'s, with the same hash,
-    and compares correctly against un-consed histories. *)
+    identity shortcut makes comparing them a pointer check instead of
+    a full spine walk.  Purely an optimization — the returned history
+    is structurally identical to {!history_extend}'s, with the same
+    hash, and compares correctly against un-consed histories. *)
 
 val history_hash : history -> int
 
@@ -64,7 +64,8 @@ val history_equal : history -> history -> bool
     history against a live one is usually O(1).  This is the per-process
     component of {!equal}, exposed for visited-set implementations that
     keep histories outside the fingerprint record (the journal-free
-    reduced walk's snapshot table). *)
+    reduced walk's visited table interns histories with it and
+    {!history_hash}). *)
 
 type t
 (** A fingerprint: canonical store bindings + per-process status and

@@ -376,6 +376,60 @@ let opts ~dedup ~por backend =
     backend;
   }
 
+(* Inputs the reduced arena walk's visited-table key must get right
+   beyond cas k=4 n=3 on one domain: two domains, where one worker's
+   table serves several frontier items, each a walk with its own
+   hash-consing table; several locations (perm k=3 n=2 has a cas
+   register plus SWMR logs), so a key holds several state slots; and a
+   [Faulty] status, so a key holds a fault-message payload.  The fault
+   fixture runs three cas-election processes on [C] beside one whose
+   cas names [D], which the store does not bind: its step ends
+   [Faulty "unknown location \"D\""]. *)
+let fault_fixture () =
+  let rogue =
+    Runtime.Program.complete
+      Runtime.Program.(
+        let* _ =
+          Objects.Cas_k.cas "D" ~expected:Objects.Cas_k.bottom
+            ~desired:(Value.int 3)
+        in
+        return Value.Unit)
+  in
+  Engine.init
+    (Store.create cas_instance.Protocols.Election.bindings)
+    (List.init 3 cas_instance.Protocols.Election.program @ [ rogue ])
+
+let key_inputs () =
+  let cas = Protocols.Election.config cas_instance in
+  let perm =
+    Protocols.Election.config
+      (Protocols.Permutation_election.instance ~k:3 ~n:2)
+  in
+  let fault = fault_fixture () in
+  [
+    ("cas k=4 n=3 domains=2", cas, 2, false);
+    ("perm k=3 n=2", perm, 1, false);
+    ("fault fixture", fault, 1, true);
+    ("fault fixture domains=2", fault, 2, true);
+  ]
+
+let reduced_modes = List.filter (fun (_, dedup, _) -> dedup) modes
+
+(* (input, mode) -> (configs visited, deduped, POR pruned): the
+   persistent reference walk's counts, which the arena walk must
+   reproduce exactly. *)
+let key_pins =
+  [
+    (("cas k=4 n=3 domains=2", "dedup"), (50, 23, 0));
+    (("cas k=4 n=3 domains=2", "dedup+por"), (50, 23, 0));
+    (("perm k=3 n=2", "dedup"), (28_802, 22_793, 0));
+    (("perm k=3 n=2", "dedup+por"), (29_715, 3_208, 22_324));
+    (("fault fixture", "dedup"), (105, 146, 0));
+    (("fault fixture", "dedup+por"), (105, 3, 143));
+    (("fault fixture domains=2", "dedup"), (169, 190, 0));
+    (("fault fixture domains=2", "dedup+por"), (190, 45, 178));
+  ]
+
 let test_explore_stats_agree () =
   List.iter
     (fun (mode, dedup, por) ->
@@ -390,7 +444,46 @@ let test_explore_stats_agree () =
       Alcotest.(check bool)
         (mode ^ ": stats identical across backends")
         true (sp = sa))
-    modes
+    modes;
+  List.iter
+    (fun (name, config, domains, faults) ->
+      List.iter
+        (fun (mode, dedup, por) ->
+          let faulty = Atomic.make 0 in
+          let stats backend =
+            Explore.explore
+              ~options:
+                {
+                  (opts ~dedup ~por backend) with
+                  domains;
+                  on_terminal =
+                    Some
+                      (fun v ->
+                        if View.faults v <> [] then Atomic.incr faulty);
+                }
+              config
+          in
+          let sp = stats Engine.Persistent in
+          let faulty_p = Atomic.exchange faulty 0 in
+          let sa = stats Engine.Arena in
+          let msg what = Printf.sprintf "%s %s: %s" name mode what in
+          Alcotest.(check bool)
+            (msg "a terminal is faulty") faults (faulty_p > 0);
+          Alcotest.(check int)
+            (msg "faulty terminals identical across backends")
+            faulty_p (Atomic.get faulty);
+          Alcotest.(check bool)
+            (msg "stats identical across backends")
+            true (sp = sa);
+          Alcotest.(check int) (msg "not truncated") 0 sp.Explore.truncated;
+          Alcotest.(check (triple int int int))
+            (msg "visited, deduped, pruned")
+            (List.assoc (name, mode) key_pins)
+            ( sa.Explore.configs_visited,
+              sa.Explore.configs_deduped,
+              sa.Explore.por_pruned ))
+        reduced_modes)
+    (key_inputs ())
 
 let test_decision_sets_agree () =
   let config = Protocols.Election.config cas_instance in
@@ -403,7 +496,69 @@ let test_decision_sets_agree () =
         (mode ^ ": decision sets identical across backends")
         true
         (sets Engine.Persistent = sets Engine.Arena))
-    modes
+    modes;
+  List.iter
+    (fun (name, config, domains, _) ->
+      List.iter
+        (fun (mode, dedup, por) ->
+          let sets backend =
+            Explore.decision_sets
+              ~options:{ (opts ~dedup ~por backend) with domains }
+              config
+          in
+          let sp = sets Engine.Persistent in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: decision sets nonempty" name mode)
+            true (sp <> []);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: decision sets identical across backends"
+               name mode)
+            true
+            (sp = sets Engine.Arena))
+        reduced_modes)
+    (key_inputs ())
+
+(* The reduced arena walk reports its visited-table size once per
+   exploration, summed over workers: no more entries than configurations
+   visited (a revisit re-explored under a smaller sleep set adds none),
+   and at least one [W]-word key per entry, [W] = locations + processes. *)
+let test_visited_gauges () =
+  let module Metrics = Lepower_obs.Metrics in
+  let was_on = Metrics.is_enabled () in
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was_on then Metrics.disable ())
+    (fun () ->
+      List.iter
+        (fun (name, config, domains, _) ->
+          List.iter
+            (fun (mode, dedup, por) ->
+              Metrics.set (Metrics.gauge "explore.visited.entries") 0.;
+              Metrics.set (Metrics.gauge "explore.visited.bytes") 0.;
+              let stats =
+                Explore.explore
+                  ~options:{ (opts ~dedup ~por Engine.Arena) with domains }
+                  config
+              in
+              let gauge g = Metrics.gauge_value (Metrics.gauge g) in
+              let entries = gauge "explore.visited.entries"
+              and bytes = gauge "explore.visited.bytes" in
+              let w =
+                List.length (Store.state_bindings config.Engine.store)
+                + Array.length config.Engine.procs
+              in
+              let msg what = Printf.sprintf "%s %s: %s" name mode what in
+              Alcotest.(check bool)
+                (msg "0 < entries <= configs visited")
+                true
+                (entries > 0.
+                && entries <= Float.of_int stats.Explore.configs_visited);
+              Alcotest.(check bool)
+                (msg "bytes >= 8 W entries")
+                true
+                (bytes >= 8. *. Float.of_int w *. entries))
+            reduced_modes)
+        (key_inputs ()))
 
 (* Reduced arena runs whose sleep set outgrows one int (2n > 62) take
    the persistent walk; the stats must not notice.  No crash faults:
@@ -525,6 +680,7 @@ let () =
           Alcotest.test_case "oversized route" `Quick test_oversized_route;
           Alcotest.test_case "forced fallback digest" `Quick
             test_fallback_digest;
+          Alcotest.test_case "visited gauges" `Quick test_visited_gauges;
         ] );
       ( "op-classification",
         [
