@@ -925,6 +925,15 @@ let fuzz k n subject flip sched depth starve_pid starve_steps runs seed faults
     interval folded_out =
   let open Lepower_check in
   let build () =
+    (* A budget that runs nothing would report a clean verdict. *)
+    if runs < 1 then
+      invalid_arg ("fuzz: --runs must be at least 1, got " ^ string_of_int runs);
+    Option.iter
+      (fun m ->
+        if m < 1 then
+          invalid_arg
+            ("fuzz: --max-steps must be at least 1, got " ^ string_of_int m))
+      max_steps;
     match subject with
     | (`Perm | `Cas | `Bcl | `Multi) as p ->
       let instance = election_instance ~k ~n p in

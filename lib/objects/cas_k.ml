@@ -10,9 +10,14 @@ let alphabet ~k =
 
 let cas_op = Op_codec.cas_op
 
+(* Alphabet membership: one hash probe per value, table built per spec. *)
+module Sigma_set = Hashtbl.Make (Value)
+
 let generic_spec ~values ~init =
   let k = List.length values in
-  let in_sigma v = List.exists (Value.equal v) values in
+  let sigma = Sigma_set.create k in
+  List.iter (fun v -> Sigma_set.replace sigma v ()) values;
+  let in_sigma v = Sigma_set.mem sigma v in
   if not (in_sigma init) then
     invalid_arg "Cas_k.generic_spec: init outside the alphabet";
   let apply ~pid:_ state op =

@@ -28,7 +28,14 @@ val spec : k:int -> Memory.Spec.t
 val generic_spec : values:Value.t list -> init:Value.t -> Memory.Spec.t
 (** A compare&swap register over an arbitrary finite alphabet (still
     bounded: operations naming values outside [values] are rejected).
-    [spec ~k] = [generic_spec ~values:(alphabet ~k) ~init:bottom]. *)
+    [spec ~k] = [generic_spec ~values:(alphabet ~k) ~init:bottom].
+
+    The alphabet is hashed into a table once, when the spec is built.
+    Each operation then checks its two values with one
+    {!Memory.Value.hash} and one bucket probe each, whatever [k] is.
+    The spec is applied on every persistent-engine step, replay and
+    shrink attempt, which is why membership is not a scan of
+    [values]. *)
 
 val cas_op : expected:Value.t -> desired:Value.t -> Value.t
 

@@ -31,26 +31,39 @@ let apply config decision =
     Obs.Metrics.incr m_injected;
     { config with Engine.store = Memory.Store.freeze config.Engine.store loc }
 
+let schedule ~sched ~time ~enabled ~lose =
+  let pid = sched.Sched.choose ~time ~enabled in
+  if not (List.mem pid enabled) then None (* Sched.halt *)
+  else if lose then Some (Repro.Lose pid)
+  else Some (Repro.Step pid)
+
 (* One adversary decision, deterministic in [rng].  The scheduler is only
    consulted for decisions that schedule a process (Step/Lose), so its
-   own state advances exactly with the executed schedule.  The location
-   list is fixed for a run (faults never add or remove objects), so the
-   caller computes it once. *)
+   own state advances exactly with the executed schedule.  A band of
+   width <= 0 never fires, so a plan with no positive rate has no use
+   for a roll: [rng] and [locs] are then never forced. *)
 let decide ~plan ~rng ~crashes ~faults ~sched ~time ~enabled ~locs =
-  let roll = Random.State.float rng 1.0 in
-  let in_band lo width = width > 0.0 && roll >= lo && roll < lo +. width in
-  let crash_ok = crashes < plan.max_crashes && List.length enabled > 1 in
-  let fault_ok = faults < plan.max_faults in
-  if crash_ok && in_band 0.0 plan.crash_p then
-    Some (Repro.Crash (List.nth enabled (Random.State.int rng (List.length enabled))))
-  else if fault_ok && in_band plan.crash_p plan.stick_p && locs <> [] then
-    Some (Repro.Stick (List.nth locs (Random.State.int rng (List.length locs))))
+  if not (plan.crash_p > 0.0 || plan.stick_p > 0.0 || plan.lose_p > 0.0) then
+    schedule ~sched ~time ~enabled ~lose:false
   else
-    let pid = sched.Sched.choose ~time ~enabled in
-    if not (List.mem pid enabled) then None (* Sched.halt *)
-    else if fault_ok && in_band (plan.crash_p +. plan.stick_p) plan.lose_p
-    then Some (Repro.Lose pid)
-    else Some (Repro.Step pid)
+    let rng = Lazy.force rng in
+    let roll = Random.State.float rng 1.0 in
+    let in_band lo width = width > 0.0 && roll >= lo && roll < lo +. width in
+    let fault_ok = faults < plan.max_faults in
+    if in_band 0.0 plan.crash_p && crashes < plan.max_crashes
+       && List.length enabled > 1
+    then
+      Some
+        (Repro.Crash
+           (List.nth enabled (Random.State.int rng (List.length enabled))))
+    else if fault_ok && in_band plan.crash_p plan.stick_p
+            && Lazy.force locs <> []
+    then
+      let locs = Lazy.force locs in
+      Some (Repro.Stick (List.nth locs (Random.State.int rng (List.length locs))))
+    else
+      schedule ~sched ~time ~enabled
+        ~lose:(fault_ok && in_band (plan.crash_p +. plan.stick_p) plan.lose_p)
 
 let is_fault = function
   | Repro.Crash _ | Repro.Lose _ | Repro.Stick _ -> true

@@ -44,23 +44,29 @@ val none : plan
 
 val decide :
   plan:plan ->
-  rng:Random.State.t ->
+  rng:Random.State.t Lazy.t ->
   crashes:int ->
   faults:int ->
   sched:Sched.t ->
   time:int ->
   enabled:int list ->
-  locs:string list ->
+  locs:string list Lazy.t ->
   Repro.decision option
 (** One adversary decision, deterministic in [rng].  [crashes]/[faults]
     are the injection counts so far (budget enforcement); [locs] is the
     store's location list, fixed for the whole run (faults never add or
-    remove objects), so callers compute it once.  The scheduler is
+    remove objects), so callers build it once.  The scheduler is
     consulted only when the decision schedules a process (step or lost
     write), so its internal state advances exactly with the executed
     schedule; [None] means the scheduler returned {!Sched.halt}.  The
     caller must notify [sched.observe] for [Step]/[Lose] decisions it
-    executes, exactly as {!Engine.run} would. *)
+    executes, exactly as {!Engine.run} would.
+
+    Each decision rolls [rng] once when some rate of [plan] is positive.
+    When every rate is 0 (as in {!none}) no band can fire, so [decide]
+    makes no roll and forces neither [rng] nor [locs]: a fault-free run
+    pays for no fault RNG, and its schedule is the scheduler's alone.
+    [locs] is forced only by a stuck-at roll. *)
 
 val apply : Engine.config -> Repro.decision -> Engine.config
 (** Execute one decision (the same semantics {!Repro.apply} uses),

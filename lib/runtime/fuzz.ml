@@ -33,15 +33,16 @@ type run = {
 let run ?(max_steps = 1_000) ?(plan = Faults.none) ~kind ~seed config =
   Obs.Metrics.incr m_runs;
   let sched = instantiate kind ~seed ~max_steps in
-  let rng = Random.State.make [| 0xfa17; seed |] in
-  (* Faults never add or remove objects, so the fault roller's location
-     list is fixed for the whole run — computed once, not per decision. *)
-  let locs = Memory.Store.locs config.Engine.store in
+  (* Built on the first roll, which a plan with no positive rate never
+     makes.  Faults never add or remove objects, so the location list
+     is fixed for the whole run. *)
+  let rng = lazy (Random.State.make [| 0xfa17; seed |]) in
+  let locs = lazy (Memory.Store.locs config.Engine.store) in
   let finish ~hit config log crashes faults =
     {
       final = config;
       decisions = List.rev log;
-      sched_name = Printf.sprintf "fuzz:%s" sched.Sched.name;
+      sched_name = "fuzz:" ^ sched.Sched.name;
       injected = crashes + faults;
       hit_step_limit = hit;
     }

@@ -150,21 +150,21 @@ let apply ?(strict = true) config decisions =
       Decision.pp d
       (String.concat ", " (List.map string_of_int enabled))
   in
+  let running config pid =
+    pid >= 0
+    && pid < Array.length config.Engine.procs
+    && Proc.is_running config.Engine.procs.(pid)
+  in
   let rec go config applied skipped idx = function
     | [] -> Ok { final = config; applied = List.rev applied; skipped }
     | d :: rest ->
-      let enabled = Engine.enabled config in
       let applicable =
-        match Decision.pid d with
-        | Some pid -> List.mem pid enabled
-        | None -> (
-          match d with
-          | Stick loc ->
-            Memory.Store.spec_of config.Engine.store loc <> None
-          | Step _ | Crash _ | Lose _ -> false)
+        match d with
+        | Step pid | Crash pid | Lose pid -> running config pid
+        | Stick loc -> Memory.Store.spec_of config.Engine.store loc <> None
       in
       if not applicable then
-        if strict then Error (inapplicable idx d enabled)
+        if strict then Error (inapplicable idx d (Engine.enabled config))
         else go config applied (skipped + 1) (idx + 1) rest
       else
         let config' =

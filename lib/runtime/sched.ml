@@ -30,7 +30,7 @@ let random ~seed =
   let choose ~time:_ ~enabled =
     List.nth enabled (Random.State.int state (List.length enabled))
   in
-  make ~name:(Printf.sprintf "random(%d)" seed) choose
+  make ~name:("random(" ^ string_of_int seed ^ ")") choose
 
 let fixed pids =
   let remaining = ref pids in
@@ -56,50 +56,78 @@ let pct ~seed ?(depth = 3) ~max_steps () =
   (* Priorities are keyed on (seed, pid) rather than assigned on first
      sight: a wrapper that vetoes a [choose] proposal must not perturb
      the priority of a pid we merely looked at.  The step counter and
-     demotions commit in [observe], i.e. against the actual schedule. *)
-  let base = Hashtbl.create 8 in
-  let base_priority pid =
-    match Hashtbl.find_opt base pid with
-    | Some p -> p
-    | None ->
+     demotions commit in [observe], i.e. against the actual schedule.
+
+     [prio.(pid)] is the pid's effective priority: [undrawn] until the
+     pid's base priority is first needed, then that draw, until a
+     demotion overwrites it (a demoted pid never needs its base). *)
+  let undrawn = min_int in
+  let prio = ref (Array.make 8 undrawn) in
+  let slots pid =
+    let a = !prio in
+    if pid < Array.length a then a
+    else begin
+      let grown = Array.make (max (pid + 1) (2 * Array.length a)) undrawn in
+      Array.blit a 0 grown 0 (Array.length a);
+      prio := grown;
+      grown
+    end
+  in
+  let priority pid =
+    let a = slots pid in
+    let p = a.(pid) in
+    if p <> undrawn then p
+    else begin
       let st = Random.State.make [| 0x50c7; seed; pid |] in
       let p = Random.State.int st 0x3fffffff in
-      Hashtbl.add base pid p;
+      a.(pid) <- p;
       p
+    end
   in
-  let change_points = Hashtbl.create 8 in
-  let () =
+  (* Change point [i] demotes whoever moves at step [change_at.(i)] to
+     [change_level.(i)]; a step drawn twice keeps its first level.
+     [full_int] makes the same draw as [int] for bounds below 2^30 and
+     accepts any [max_steps]. *)
+  let change_at, change_level =
     let st = Random.State.make [| 0x9c7; seed |] in
-    for level = 1 to max 0 (depth - 1) do
-      let at = Random.State.int st (max 1 max_steps) in
-      if not (Hashtbl.mem change_points at) then
-        Hashtbl.add change_points at level
-    done
+    let rec draw level points =
+      if level >= depth then List.rev points
+      else
+        let at = Random.State.full_int st (max 1 max_steps) in
+        draw (level + 1)
+          (if List.mem_assoc at points then points else (at, level) :: points)
+    in
+    let points = draw 1 [] in
+    (Array.of_list (List.map fst points), Array.of_list (List.map snd points))
   in
-  let demoted = Hashtbl.create 8 in
   let steps = ref 0 in
-  let priority pid =
-    match Hashtbl.find_opt demoted pid with
-    | Some level -> level - 0x40000000 (* below every base priority *)
-    | None -> base_priority pid
+  let rec best b bp = function
+    | [] -> b
+    | p :: rest ->
+      let pp = priority p in
+      if pp > bp || (pp = bp && p < b) then best p pp rest
+      else best b bp rest
   in
   let choose ~time:_ ~enabled =
     match enabled with
     | [] -> invalid_arg "Sched: empty enabled set"
-    | pid :: rest ->
-      List.fold_left
-        (fun best p ->
-          let bp = priority best and pp = priority p in
-          if pp > bp || (pp = bp && p < best) then p else best)
-        pid rest
+    | pid :: rest -> best pid (priority pid) rest
+  in
+  let rec demote pid i =
+    if i < Array.length change_at then
+      if change_at.(i) = !steps then
+        (* below every base priority *)
+        (slots pid).(pid) <- change_level.(i) - 0x40000000
+      else demote pid (i + 1)
   in
   let observe ~time:_ ~pid =
-    (match Hashtbl.find_opt change_points !steps with
-    | Some level -> Hashtbl.replace demoted pid level
-    | None -> ());
+    demote pid 0;
     incr steps
   in
-  { name = Printf.sprintf "pct(seed=%d,d=%d)" seed depth; choose; observe }
+  let name =
+    "pct(seed=" ^ string_of_int seed ^ ",d=" ^ string_of_int depth ^ ")"
+  in
+  { name; choose; observe }
 
 let starve ~victim ~stall inner =
   let remaining = ref stall in
@@ -114,7 +142,9 @@ let starve ~victim ~stall inner =
     if !remaining > 0 then decr remaining;
     inner.observe ~time ~pid
   in
-  { name = Printf.sprintf "%s+starve(%d,%d)" inner.name victim stall;
+  { name =
+      inner.name ^ "+starve(" ^ string_of_int victim ^ ","
+      ^ string_of_int stall ^ ")";
     choose; observe }
 
 let crashing ~crashed inner =

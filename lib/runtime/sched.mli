@@ -72,7 +72,16 @@ val pct : seed:int -> ?depth:int -> max_steps:int -> unit -> t
     depth [d] is found with probability ≥ 1/(n·k{^ d-1}) per run.
     Deterministic in [seed]; demotions and the step counter commit in
     [observe], so wrappers that veto proposals do not skew them.
-    [depth] defaults to 3. *)
+    [depth] defaults to 3; [max_steps] may be any int ([<= 0] puts every
+    change point at step 0).
+
+    Cost: one seeded [Random.State] for the change points, plus one per
+    pid the first time that pid's priority is compared, made from the
+    same [(seed, pid)] key — so a seed names the same priorities, and
+    the same schedule, whatever order pids are looked at in.  After
+    that, [choose] is one pass over [enabled] comparing int array reads,
+    and [observe] scans at most [depth - 1] change points.  Pids must be
+    non-negative (they index the priority array). *)
 
 val starve : victim:int -> stall:int -> t -> t
 (** Starvation adversary: wraps a scheduler so that [victim] is not

@@ -210,20 +210,196 @@ let test_starve_sole_survivor () =
   Alcotest.(check int) "sole enabled victim still runs" 0
     (sched.Sched.choose ~time:0 ~enabled:[ 0 ])
 
+(* The pids [sched] runs in [steps] steps while every pid in [enabled]
+   stays enabled. *)
+let drive sched ~enabled steps =
+  List.init steps (fun time ->
+      let pid = sched.Sched.choose ~time ~enabled in
+      sched.Sched.observe ~time ~pid;
+      pid)
+
 let test_pct_deterministic_and_demoting () =
   let mk () = Sched.pct ~seed:9 ~depth:3 ~max_steps:50 () in
-  let drive sched =
-    List.init 20 (fun i ->
-        let pid = sched.Sched.choose ~time:i ~enabled:[ 0; 1; 2 ] in
-        sched.Sched.observe ~time:i ~pid;
-        pid)
-  in
+  let drive sched = drive sched ~enabled:[ 0; 1; 2 ] 20 in
   let s1 = drive (mk ()) and s2 = drive (mk ()) in
   Alcotest.(check (list int)) "same seed, same schedule" s1 s2;
   (* Without change points the top-priority pid runs solo; with depth 3
      the demotions must let some other pid in eventually. *)
   Alcotest.(check bool) "priority changes actually happen" true
     (List.length (List.sort_uniq compare s1) > 1)
+
+(* --- schedules pinned across versions ------------------------------- *)
+
+(* Certificates, bug reports and benchmarks name schedules by seed, so a
+   seed must keep naming the same schedule.  These decision logs were
+   recorded from [Fuzz.run] and must not move: a scheduler or fault-plane
+   change that alters one changes what every recorded seed means. *)
+
+let pinned_kinds =
+  [
+    ("pct3", Fuzz.Pct { depth = 3 });
+    ("pct5", Fuzz.Pct { depth = 5 });
+    ("random", Fuzz.Random_walk);
+    ("starve", Fuzz.Starve { victim = 0; stall = 4 });
+  ]
+
+(* "lose" and "stick" each have one positive rate: their rolls must
+   follow the same sequence as under [Faults.default]. *)
+let pinned_plans =
+  [
+    ("none", Faults.none);
+    ("default", Faults.default);
+    ("lose", { Faults.none with lose_p = 0.3; max_faults = 8 });
+    ("stick", { Faults.none with stick_p = 0.3; max_faults = 8 });
+  ]
+
+let log_string ds =
+  String.concat " " (List.map (Fmt.str "%a" Repro.Decision.pp) ds)
+
+(* kind, plan, seed, decision log on cas-election k=5 n=4.  Each process
+   moves once, so PCT's demotions never change who runs next here; the
+   n=24 digests and the duplicate-change-point case below cover them. *)
+let pinned_logs =
+  [
+    ("pct3", "none", 0, "s1 s2 s3 s0");
+    ("pct3", "none", 1, "s2 s0 s1 s3");
+    ("pct3", "none", 2, "s3 s2 s0 s1");
+    ("pct3", "default", 0, "s1 l2 s3 s0");
+    ("pct3", "default", 1, "s2 s0 s1 s3");
+    ("pct3", "default", 2, "l3 s2 s0 s1");
+    ("pct5", "none", 0, "s1 s2 s3 s0");
+    ("pct5", "none", 1, "s2 s0 s1 s3");
+    ("pct5", "none", 2, "s3 s2 s0 s1");
+    ("pct5", "default", 0, "s1 l2 s3 s0");
+    ("pct5", "default", 1, "s2 s0 s1 s3");
+    ("pct5", "default", 2, "l3 s2 s0 s1");
+    ("random", "none", 0, "s2 s3 s1 s0");
+    ("random", "none", 1, "s2 s1 s0 s3");
+    ("random", "none", 2, "s1 s2 s0 s3");
+    ("random", "default", 0, "s2 l3 s1 s0");
+    ("random", "default", 1, "s2 s1 s0 s3");
+    ("random", "default", 2, "l1 s2 s0 s3");
+    ("starve", "none", 0, "s1 s2 s3 s0");
+    ("starve", "none", 1, "s3 s1 s2 s0");
+    ("starve", "none", 2, "s3 s2 s1 s0");
+    ("starve", "default", 0, "s1 l2 s3 s0");
+    ("starve", "default", 1, "s3 s1 s2 s0");
+    ("starve", "default", 2, "l3 s2 s1 s0");
+    ("pct3", "lose", 0, "s1 l2 s3 s0");
+    ("pct3", "lose", 1, "s2 l0 s1 l3");
+    ("pct3", "lose", 2, "l3 s2 s0 s1");
+    ("pct3", "stick", 0, "s1 k:C s2 s3 k:C s0");
+    ("pct3", "stick", 1, "s2 k:C k:C s0 s1 s3");
+    ("pct3", "stick", 2, "k:C s3 s2 s0 s1");
+    ("random", "lose", 0, "s2 l3 s1 s0");
+    ("random", "lose", 1, "s2 l1 s0 l3");
+    ("random", "lose", 2, "l1 s2 s0 s3");
+    ("random", "stick", 0, "s2 k:C s3 s1 k:C s0");
+    ("random", "stick", 1, "s2 k:C k:C s1 s0 s3");
+    ("random", "stick", 2, "k:C s1 s2 s0 s3");
+  ]
+
+(* kind, plan, MD5 of the newline-joined logs of seeds 0-199 on the
+   n=24 flip fixture (a cas(25) register), at the campaign's step cap *)
+let pinned_digests =
+  [
+    ("pct3", "none", "d5fb276a4130c2993142c5f9319f1722");
+    ("pct3", "default", "a650ab6cbcd8776e3c8eb5a9b2a2aea3");
+    ("pct5", "none", "668251b360bd406d4d58fe5c0c75a09b");
+    ("pct5", "default", "a5fcfc224543dcb13000fc972222ebbe");
+    ("random", "none", "ecbb0b2e85373812f901baf8b45aebba");
+    ("random", "default", "7e8f85d69b3a27d77da0f661f24643b0");
+    ("starve", "none", "59144acd6190d0ae385799c9ddf81bd0");
+    ("starve", "default", "f14d9b77f8577cb2fbb1e96467502dfc");
+  ]
+
+let test_pinned_logs () =
+  let config = Election.config (Protocols.Cas_election.instance ~k:5 ~n:4) in
+  List.iter
+    (fun (kind_name, plan_name, seed, expected) ->
+      let r =
+        Fuzz.run
+          ~plan:(List.assoc plan_name pinned_plans)
+          ~kind:(List.assoc kind_name pinned_kinds)
+          ~seed config
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s/%s seed %d" kind_name plan_name seed)
+        expected (log_string r.Fuzz.decisions))
+    pinned_logs;
+  (* Certificates record the scheduler's name as well. *)
+  List.iter2
+    (fun (_, kind) expected ->
+      Alcotest.(check string) "scheduler name" expected
+        (Fuzz.run ~kind ~seed:7 config).Fuzz.sched_name)
+    pinned_kinds
+    [
+      "fuzz:pct(seed=7,d=3)"; "fuzz:pct(seed=7,d=5)"; "fuzz:random(7)";
+      "fuzz:random(7)+starve(0,4)";
+    ]
+
+(* depth 8 over a 4-step cap: seven change points on four steps, so
+   steps are drawn twice and the first level drawn for a step must win.
+   All four pids stay enabled; seed, schedule. *)
+let pinned_pct_duplicates =
+  [
+    (0, [ 1; 2; 3; 0; 1; 1; 1; 1; 1; 1; 1; 1 ]);
+    (1, [ 2; 0; 1; 3; 3; 3; 3; 3; 3; 3; 3; 3 ]);
+    (2, [ 3; 2; 0; 1; 2; 2; 2; 2; 2; 2; 2; 2 ]);
+    (3, [ 1; 0; 2; 3; 3; 3; 3; 3; 3; 3; 3; 3 ]);
+    (4, [ 1; 3; 0; 2; 2; 2; 2; 2; 2; 2; 2; 2 ]);
+    (5, [ 1; 0; 2; 3; 1; 1; 1; 1; 1; 1; 1; 1 ]);
+  ]
+
+let test_pinned_pct_duplicates () =
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d" seed)
+        expected
+        (drive (Sched.pct ~seed ~depth:8 ~max_steps:4 ()) ~enabled:[ 0; 1; 2; 3 ]
+           12))
+    pinned_pct_duplicates
+
+let test_pinned_digests () =
+  let t = Lint.broken_cas_fixture ~n:24 ~flip:true () in
+  let config = (Subject.of_target t).Subject.config in
+  let max_steps = (t.Lint.budget * List.length t.Lint.programs * 2) + 1000 in
+  List.iter
+    (fun (kind_name, plan_name, expected) ->
+      let logs =
+        List.init 200 (fun seed ->
+            log_string
+              (Fuzz.run ~max_steps
+                 ~plan:(List.assoc plan_name pinned_plans)
+                 ~kind:(List.assoc kind_name pinned_kinds)
+                 ~seed config)
+                .Fuzz.decisions)
+      in
+      Alcotest.(check string)
+        (kind_name ^ "/" ^ plan_name ^ " seeds 0-199")
+        expected
+        (Digest.to_hex (Digest.string (String.concat "\n" logs))))
+    pinned_digests
+
+let test_pct_any_step_cap () =
+  (* Change points are drawn over [0, max_steps) for any positive cap,
+     including caps past the 2^30 - 1 that [Random.State.int] accepts. *)
+  List.iter
+    (fun max_steps ->
+      let run () =
+        drive (Sched.pct ~seed:3 ~depth:5 ~max_steps ()) ~enabled:[ 0; 1; 2 ] 10
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "max_steps %d: deterministic" max_steps)
+        (run ()) (run ()))
+    [ 0x3fffffff; 0x40000000; max_int ];
+  let resolved = Subject.of_target (Lint.broken_cas_fixture ~flip:true ()) in
+  let r =
+    Fuzz.run ~max_steps:max_int ~kind:(Fuzz.Pct { depth = 3 }) ~seed:1
+      resolved.Subject.config
+  in
+  Alcotest.(check bool) "the run ends on its own" false r.Fuzz.hit_step_limit
 
 let () =
   Alcotest.run "fuzz"
@@ -257,5 +433,16 @@ let () =
             test_starve_sole_survivor;
           Alcotest.test_case "pct deterministic" `Quick
             test_pct_deterministic_and_demoting;
+          Alcotest.test_case "pct accepts any step cap" `Quick
+            test_pct_any_step_cap;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "decision logs, cas k=5 n=4" `Quick
+            test_pinned_logs;
+          Alcotest.test_case "log digests, n=24 flip fixture" `Quick
+            test_pinned_digests;
+          Alcotest.test_case "pct with duplicate change points" `Quick
+            test_pinned_pct_duplicates;
         ] );
     ]

@@ -94,6 +94,85 @@ let test_cas_alphabet_size () =
         (List.length (Objects.Cas_k.alphabet ~k)))
     [ 1; 2; 3; 7 ]
 
+(* Reference semantics of [Cas_k.generic_spec]: membership by scanning
+   the alphabet list.  The spec's hash table must accept and reject
+   exactly the same operations, with the same error text. *)
+let reference_cas_apply ~values state op =
+  let k = List.length values in
+  let in_sigma v = List.exists (Value.equal v) values in
+  match Objects.Op_codec.decode_cas op with
+  | Some (expected, desired) ->
+    if not (in_sigma expected && in_sigma desired) then
+      Error
+        (Printf.sprintf "cas(%d): value outside the alphabet in %s" k
+           (Value.to_string op))
+    else if Value.equal state expected then Ok (desired, state)
+    else Ok (state, state)
+  | None -> Error ("cas: bad operation " ^ Value.to_string op)
+
+let test_cas_membership_matches_list () =
+  let check_spec name values (spec : Memory.Spec.t) =
+    let k = List.length values in
+    let probes =
+      values
+      @ List.init (k + 2) (fun i -> Value.int (i - 1))
+      @ [
+          Objects.Cas_k.bottom; Value.sym "x"; Value.sym "_|_ "; Value.unit;
+          Value.bool true; Value.pair (Value.int 0) (Value.int 1);
+        ]
+    in
+    let ops =
+      Value.sym "read" :: Value.pair (Value.sym "write") (Value.int 0)
+      :: List.concat_map
+           (fun expected ->
+             List.map
+               (fun desired -> Objects.Cas_k.cas_op ~expected ~desired)
+               probes)
+           probes
+    in
+    List.iter
+      (fun state ->
+        List.iter
+          (fun op ->
+            let got = Memory.Spec.apply spec ~pid:0 state op in
+            if got <> reference_cas_apply ~values state op then
+              Alcotest.failf "%s: %s from state %s disagrees with the list"
+                name (Value.to_string op) (Value.to_string state))
+          ops)
+      values
+  in
+  List.iter
+    (fun k ->
+      check_spec
+        (Printf.sprintf "cas(%d)" k)
+        (Objects.Cas_k.alphabet ~k) (Objects.Cas_k.spec ~k))
+    [ 2; 3; 12; 25 ];
+  (* The alphabets the consensus protocols pass: ⊥ plus their inputs. *)
+  let custom inputs =
+    Objects.Cas_k.bottom :: List.sort_uniq Value.compare inputs
+  in
+  let cons_inputs = [ Value.int 10; Value.sym "b"; Value.int 10 ] in
+  List.iter
+    (fun (loc, spec) ->
+      check_spec ("consensus " ^ loc) (custom cons_inputs) spec)
+    (Protocols.Consensus.from_cas ~inputs:cons_inputs).Protocols.Consensus
+      .bindings;
+  let set_inputs = List.init 7 (fun i -> Value.int (100 + i)) in
+  List.iter
+    (fun (loc, spec) ->
+      check_spec ("set-consensus " ^ loc) (custom set_inputs) spec)
+    (Protocols.Set_consensus.from_groups ~k:3 ~inputs:set_inputs)
+      .Protocols.Set_consensus.bindings;
+  let pairs = [ Objects.Cas_k.bottom; Value.pair (Value.int 1) (Value.sym "a") ] in
+  check_spec "pair alphabet" pairs
+    (Objects.Cas_k.generic_spec ~values:pairs ~init:Objects.Cas_k.bottom);
+  Alcotest.check_raises "init outside the alphabet"
+    (Invalid_argument "Cas_k.generic_spec: init outside the alphabet")
+    (fun () ->
+      ignore
+        (Objects.Cas_k.generic_spec ~values:pairs
+           ~init:(Value.pair (Value.int 1) (Value.sym "b"))))
+
 (* qcheck: the register's responses always report the pre-state and the
    state never leaves the alphabet. *)
 let prop_cas_stays_in_alphabet =
@@ -411,6 +490,8 @@ let () =
           Alcotest.test_case "bounded alphabet" `Quick test_cas_bounded_alphabet;
           Alcotest.test_case "succeeded predicate" `Quick test_cas_succeeded;
           Alcotest.test_case "alphabet size" `Quick test_cas_alphabet_size;
+          Alcotest.test_case "membership table matches the list" `Quick
+            test_cas_membership_matches_list;
           QCheck_alcotest.to_alcotest prop_cas_stays_in_alphabet;
         ] );
       ( "testset",

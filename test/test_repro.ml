@@ -208,6 +208,40 @@ let test_shrink_broken_swmr () =
     Alcotest.(check bool) "shrunk cert still fails" true
       (failing_config final)
 
+(* --- applicability: pids outside the run or already finished --- *)
+
+let test_apply_inapplicable () =
+  let c0 = config () in
+  let strict ds expected =
+    match Repro.apply ~strict:true c0 ds with
+    | Ok _ -> Alcotest.failf "strict apply accepted %s" expected
+    | Error e -> Alcotest.(check string) "strict error" expected e
+  in
+  strict [ Repro.Step 2 ]
+    "decision 0 (s2) is not applicable: enabled = {0, 1}";
+  strict [ Repro.Lose 7 ]
+    "decision 0 (l7) is not applicable: enabled = {0, 1}";
+  strict [ Repro.Step (-1) ]
+    "decision 0 (s-1) is not applicable: enabled = {0, 1}";
+  strict [ Repro.Crash (-3) ]
+    "decision 0 (c-3) is not applicable: enabled = {0, 1}";
+  (* p0 finishes after its two operations; a third step is stale. *)
+  strict
+    [ Repro.Step 0; Repro.Step 0; Repro.Step 0 ]
+    "decision 2 (s0) is not applicable: enabled = {1}";
+  match
+    Repro.apply ~strict:false c0
+      [
+        Repro.Step 2; Repro.Step 0; Repro.Step (-1); Repro.Step 0;
+        Repro.Crash 0; Repro.Step 1;
+      ]
+  with
+  | Error e -> Alcotest.failf "lenient apply failed: %s" e
+  | Ok a ->
+    Alcotest.(check int) "lenient apply skips the three" 3 a.Repro.skipped;
+    Alcotest.(check bool) "and keeps the rest in order" true
+      (a.Repro.applied = [ Repro.Step 0; Repro.Step 0; Repro.Step 1 ])
+
 (* --- the crashing wrapper's halt sentinel --- *)
 
 let test_crashing_halt_sentinel () =
@@ -241,6 +275,11 @@ let () =
             test_shrink_broken_cas;
           Alcotest.test_case "broken-swmr shrinks and still fails" `Quick
             test_shrink_broken_swmr;
+        ] );
+      ( "apply",
+        [
+          Alcotest.test_case "inapplicable pids" `Quick
+            test_apply_inapplicable;
         ] );
       ( "sched",
         [
