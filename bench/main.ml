@@ -1019,7 +1019,8 @@ let e15_prof () =
     overhead_pct;
   Printf.printf "enabled coverage:           %8.1f %% of wall (floor 90%%)\n"
     coverage_pct;
-  (* dom1 vs dom4 on the reduced explorer: busy gauges vs wall clock. *)
+  (* dom1 vs dom4 on the naive walk (a reduced run takes one worker
+     whatever [domains] says): busy gauges vs wall clock. *)
   let busy_sum domains =
     let rec go acc w =
       if w >= domains then acc
@@ -1032,12 +1033,12 @@ let e15_prof () =
     in
     go 0. 0
   in
-  let (), dom1_wall = wall (explore ~dedup:true ~por:true ~domains:1) in
-  let (), dom4_wall = wall (explore ~dedup:true ~por:true ~domains:4) in
+  let (), dom1_wall = wall naive in
+  let (), dom4_wall = wall (explore ~dedup:false ~por:false ~domains:4) in
   let dom4_busy = busy_sum 4 in
   let oversub = if dom4_wall > 0. then dom4_busy /. dom4_wall else 0. in
   Printf.printf
-    "dedup+por dom1 %.3f ms; dom4 %.3f ms, busy sum %.3f ms (%.2fx wall%s)\n"
+    "naive dom1 %.3f ms; dom4 %.3f ms, busy sum %.3f ms (%.2fx wall%s)\n"
     (dom1_wall *. 1e3) (dom4_wall *. 1e3) (dom4_busy *. 1e3) oversub
     (if host_cores < 4 && oversub > 1.2 then
        "; oversubscribed: fewer cores than domains"

@@ -209,6 +209,13 @@ let with_instance build f =
     Cmd.Exit.cli_error
   | instance -> f instance
 
+(* A run budget below 1 runs nothing and would report a clean verdict:
+   reject it in a [with_instance] build. *)
+let require_positive cmd flag v =
+  if v < 1 then
+    invalid_arg
+      (Printf.sprintf "%s: --%s must be at least 1, got %d" cmd flag v)
+
 (* --- elect --- *)
 
 let elect_protocol =
@@ -317,15 +324,15 @@ let backend_arg =
            a mutable arena store with undo on backtrack — substantially \
            faster; verdicts, statistics and decision sets are \
            identical).  Composes with --dedup/--por/--static-por: the \
-           reduced walks run journal-free on the machine's flat arrays \
-           with incrementally-maintained fingerprints (see DESIGN.md \
-           $(i,§7)); an instance with more than 31 processes runs the \
-           reduced walk on the persistent engine instead, because its \
-           sleep sets outgrow one machine word.  Programs whose \
-           compiled form outgrows the node budget transparently fall \
-           back to closure interpretation.  Fuzz and replay always run \
-           on the persistent engine: they move forward only, where the \
-           arena's undo buys nothing.")
+           reduced walk runs journal-free on the machine's flat arrays, \
+           on one worker, with incrementally-maintained fingerprints \
+           (see DESIGN.md $(i,§7)); an instance with more than 31 \
+           processes runs the reduced walk on the persistent engine \
+           instead, because its sleep sets outgrow one machine word.  \
+           Programs whose compiled form outgrows the node budget \
+           transparently fall back to closure interpretation.  Fuzz and \
+           replay always run on the persistent engine: they move forward \
+           only, where the arena's undo buys nothing.")
 
 let explore_max_steps =
   Arg.(
@@ -359,8 +366,11 @@ let explore_domains =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Split the top of the schedule tree across $(docv) OCaml domains \
-           running in parallel.")
+          "Split the top of a naive walk's schedule tree across $(docv) \
+           OCaml domains running in parallel.  A run with --dedup, --por \
+           or --static-por takes one worker whatever $(docv) is and \
+           reports 'domains used: 1': its reductions prune against one \
+           visited table.")
 
 let explore_crash =
   Arg.(
@@ -602,9 +612,9 @@ let lint_seeds =
     & opt (some int) None
     & info [ "seeds" ]
         ~doc:
-          "Force sampled-schedule mode with this many seeded runs \
-           (default: exhaustive when the instance is small enough, else \
-           64 samples).")
+          "Force sampled-schedule mode with this many seeded runs, at \
+           least 1 (default: exhaustive when the instance is small \
+           enough, else 64 samples).")
 
 let lint_exhaustive =
   Arg.(
@@ -617,7 +627,8 @@ let lint_max_steps =
   Arg.(
     value
     & opt (some int) None
-    & info [ "max-steps" ] ~doc:"Per-execution step cap override.")
+    & info [ "max-steps" ]
+        ~doc:"Per-execution step cap override, at least 1.")
 
 let lint_static =
   Arg.(
@@ -699,7 +710,11 @@ let lint k n subject rules seeds exhaustive max_steps static register_budget
     jsonl_out repro_out shrink metrics_out prof progress progress_out interval
     folded_out =
   let open Lepower_check in
-  with_instance (fun () -> lint_targets ~k ~n subject) @@ fun targets ->
+  with_instance (fun () ->
+      Option.iter (require_positive "lint" "seeds") seeds;
+      Option.iter (require_positive "lint" "max-steps") max_steps;
+      lint_targets ~k ~n subject)
+  @@ fun targets ->
   with_telemetry ~prof ~progress ~progress_out ~interval ~folded_out
   @@ fun hb ->
   with_obs ~trace_out:None ~metrics_out @@ fun () ->
@@ -925,15 +940,8 @@ let fuzz k n subject flip sched depth starve_pid starve_steps runs seed faults
     interval folded_out =
   let open Lepower_check in
   let build () =
-    (* A budget that runs nothing would report a clean verdict. *)
-    if runs < 1 then
-      invalid_arg ("fuzz: --runs must be at least 1, got " ^ string_of_int runs);
-    Option.iter
-      (fun m ->
-        if m < 1 then
-          invalid_arg
-            ("fuzz: --max-steps must be at least 1, got " ^ string_of_int m))
-      max_steps;
+    require_positive "fuzz" "runs" runs;
+    Option.iter (require_positive "fuzz" "max-steps") max_steps;
     match subject with
     | (`Perm | `Cas | `Bcl | `Multi) as p ->
       let instance = election_instance ~k ~n p in

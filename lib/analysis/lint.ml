@@ -148,7 +148,7 @@ let lint ?(mode = Auto) ?(static = Static_off) ?static_options
            {
              Explore.Options.default with
              max_steps;
-             analyze = Some analyze;
+             on_terminal = Some analyze;
              on_truncated =
                Some
                  (fun view ->

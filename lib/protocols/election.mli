@@ -86,10 +86,11 @@ val explore_stats :
 (** Like {!explore_all} but returning the full exploration statistics
     (terminals, truncations, choice points, configurations visited).
     [options] carries the explorer knobs ([options.max_steps] is
-    overridden by the required [max_steps]); its [analyze] hook runs on
-    every terminal configuration (see {!Runtime.Explore.explore}) — the
-    hook [Lepower_check] uses to lint every complete trace of the
-    protocol.
+    overridden by the required [max_steps]); its [on_terminal] and
+    [on_truncated] hooks are ignored, since {!Runtime.Explore.check_all}
+    claims both for the predicate.  To lint every complete trace, as
+    [Lepower_check] does, hand the linter to [on_terminal] of
+    {!Runtime.Explore.explore}.
 
     [options.crash_faults] additionally lets the adversary fail-stop
     processes at every choice point.  [dedup]/[por]/[domains] request the

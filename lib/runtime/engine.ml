@@ -671,21 +671,34 @@ module Machine = struct
   }
 
   (* Exhaustive naive walk (every interleaving, optional crash moves, no
-     memoization), counting only — the caller sees no configurations, so
-     nothing needs the journal or the trace: every move's undo data
-     lives in the DFS stack frame.  Memo-hit steps write the arena
-     directly and restore the saved state on backtrack; first visits and
-     non-memoizable steps (prim fallback, faults, decide-only programs)
-     go through the journaled [step_impl]/[undo_to] pair.  Crash moves
-     are a status flip both ways.  Traversal order and counter semantics
-     mirror the Explore naive DFS exactly; steps are not phase-
-     attributed here (metrics counters are still fed when enabled). *)
-  let walk_naive ?tick ~crash_faults ~max_steps ~depth0 ws m =
+     memoization).  Nothing needs the journal or the trace: every move's
+     undo data lives in the DFS stack frame.  Memo-hit steps write the
+     arena directly and restore the saved state on backtrack; first
+     visits and non-memoizable steps (prim fallback, faults, decide-only
+     programs) go through the journaled [step_impl]/[undo_to] pair.
+     Crash moves are a status flip both ways.  Traversal order and
+     counter semantics mirror the Explore naive DFS exactly; steps are
+     not phase-attributed here (metrics counters are still fed when
+     enabled).
+
+     The walk records every move into a path it owns ([Step pid] as
+     [pid], [Crash pid] as [-pid-1]).  The path grows with the depth
+     reached and is never sized by [max_steps]: a branch holds one slot
+     per step plus one per crash.  A leaf hook gets the path and the number
+     of moves recorded, so it can rebuild the schedule (and from it the
+     trace) by replaying [path.(0 .. mc-1)] from the walk's root
+     configuration; that is the only way to the trace at a leaf, since
+     memo-hit steps bypass the journal.  The array is valid only during
+     the hook call, and hooks observe the machine mid-walk: they must not
+     step or undo it. *)
+  let walk_naive ?tick ?on_terminal ?on_truncated ~crash_faults ~max_steps
+      ~depth0 ws m =
     let n = Array.length m.statuses in
     let statuses = m.statuses and pcs = m.pcs and steps = m.steps in
     let arena = m.arena in
     let sarr = Memory.Store.Arena.states_view arena in
     let metrics_on = Obs.Metrics.is_enabled () in
+    let path = ref (Array.make 64 0) in
     (* [running] is threaded through the recursion so leaves need no
        status scan at all; every status flip below adjusts it. *)
     let running0 = ref 0 in
@@ -693,19 +706,32 @@ module Machine = struct
       if statuses.(pid) = st_running then incr running0
     done;
     (* unsafe_get/set: [pid < n], memo ids are within the slot array by
-       the explicit length check, [memo_find] returns [< x_n], and
-       [x_loc] was interned by the arena — all indices are in bounds by
-       construction. *)
-    let rec go depth running =
+       the explicit length check, [memo_find] returns [< x_n], [x_loc]
+       was interned by the arena, and every move of a node writes path
+       slot [mc], which the node makes room for before its first move
+       (deeper nodes only ever grow the path) — all indices are in
+       bounds by construction. *)
+    let rec go depth mc running =
       if depth > ws.w_max_depth then ws.w_max_depth <- depth;
       ws.w_configs <- ws.w_configs + 1;
       (if ws.w_configs land 8191 = 0 then
          match tick with None -> () | Some f -> f ws);
-      if running = 0 then ws.w_terminals <- ws.w_terminals + 1
-      else if depth >= max_steps then ws.w_truncated <- ws.w_truncated + 1
+      if running = 0 then begin
+        ws.w_terminals <- ws.w_terminals + 1;
+        match on_terminal with None -> () | Some f -> f !path mc
+      end
+      else if depth >= max_steps then begin
+        ws.w_truncated <- ws.w_truncated + 1;
+        match on_truncated with None -> () | Some f -> f !path mc
+      end
       else begin
         if running >= 2 || crash_faults then
           ws.w_choice_points <- ws.w_choice_points + 1;
+        if mc >= Array.length !path then begin
+          let p = Array.make (2 * (mc + 1)) 0 in
+          Array.blit !path 0 p 0 (Array.length !path);
+          path := p
+        end;
         for pid = 0 to n - 1 do
           if Array.unsafe_get statuses pid = st_running then begin
             (let fast =
@@ -759,125 +785,7 @@ module Machine = struct
                        Array.unsafe_set steps pid
                          (Array.unsafe_get steps pid + 1);
                        m.time <- m.time + 1;
-                       go (depth + 1) running';
-                       m.time <- m.time - 1;
-                       Array.unsafe_set steps pid
-                         (Array.unsafe_get steps pid - 1);
-                       Array.unsafe_set statuses pid st_running;
-                       Array.unsafe_set pcs pid pcv;
-                       Array.unsafe_set sarr x.x_loc st;
-                       true
-                     end)
-                   | _ -> false
-             in
-             if not fast then begin
-               let mk = m.jlen in
-               step_impl m pid;
-               go (depth + 1) (if is_running m pid then running else running - 1);
-               undo_to m mk
-             end);
-            if crash_faults then begin
-              Array.unsafe_set statuses pid st_crashed;
-              go depth (running - 1);
-              Array.unsafe_set statuses pid st_running
-            end
-          end
-        done
-      end
-    in
-    go depth0 !running0
-
-  (* [walk_naive] with per-leaf hooks: same traversal, same counters,
-     and — crucially — the same allocation-free memo fast path, kept as
-     a separate clone so the uncheckable plain walk above pays nothing
-     for the hook plumbing.  Every move is recorded into [path]
-     ([Step pid] as [pid], [Crash pid] as [-pid-1]); the hook argument
-     is the number of moves currently recorded, so a hook can
-     reconstruct the schedule (and from it the trace) by replaying
-     [path.(0 .. mc-1)] from the walk's root configuration.  That
-     reconstruction is the only way to get the trace at a leaf: memo-hit
-     steps bypass the journal, so [config]/the journal do not cover
-     them here.  [path] needs [max_steps + n_procs + 1] slots — at most
-     [max_steps] step moves plus one crash per process on any branch.
-     Hooks observe the machine mid-walk and must not step or undo it. *)
-  let walk_naive_checked ?tick ~crash_faults ~max_steps ~depth0 ~path
-      ~on_terminal ~on_truncated ws m =
-    let n = Array.length m.statuses in
-    let statuses = m.statuses and pcs = m.pcs and steps = m.steps in
-    let arena = m.arena in
-    let sarr = Memory.Store.Arena.states_view arena in
-    let metrics_on = Obs.Metrics.is_enabled () in
-    let running0 = ref 0 in
-    for pid = 0 to n - 1 do
-      if statuses.(pid) = st_running then incr running0
-    done;
-    (* unsafe accesses: in bounds by the same argument as [walk_naive];
-       [path] writes stay under [max_steps + n + 1] by the slot-count
-       argument in the comment above. *)
-    let rec go depth mc running =
-      if depth > ws.w_max_depth then ws.w_max_depth <- depth;
-      ws.w_configs <- ws.w_configs + 1;
-      (if ws.w_configs land 8191 = 0 then
-         match tick with None -> () | Some f -> f ws);
-      if running = 0 then begin
-        ws.w_terminals <- ws.w_terminals + 1;
-        on_terminal mc
-      end
-      else if depth >= max_steps then begin
-        ws.w_truncated <- ws.w_truncated + 1;
-        on_truncated mc
-      end
-      else begin
-        if running >= 2 || crash_faults then
-          ws.w_choice_points <- ws.w_choice_points + 1;
-        for pid = 0 to n - 1 do
-          if Array.unsafe_get statuses pid = st_running then begin
-            (let fast =
-               let pcv = Array.unsafe_get pcs pid in
-               if pcv < 0 then false
-               else
-                 let xa = Array.unsafe_get m.memos pid in
-                 if pcv >= Array.length xa then false
-                 else
-                   match Array.unsafe_get xa pcv with
-                   | Some x -> (
-                     let st = Array.unsafe_get sarr x.x_loc in
-                     let k = memo_find x st 0 in
-                     if k < 0 then false
-                     else begin
-                       let k =
-                         if k > 0 then begin
-                           let pk = Array.unsafe_get x.x_keys (k - 1)
-                           and po = Array.unsafe_get x.x_outs (k - 1) in
-                           Array.unsafe_set x.x_keys (k - 1)
-                             (Array.unsafe_get x.x_keys k);
-                           Array.unsafe_set x.x_outs (k - 1)
-                             (Array.unsafe_get x.x_outs k);
-                           Array.unsafe_set x.x_keys k pk;
-                           Array.unsafe_set x.x_outs k po;
-                           k - 1
-                         end
-                         else k
-                       in
-                       let o = Array.unsafe_get x.x_outs k in
-                       if metrics_on then begin
-                         Obs.Metrics.incr m_steps;
-                         record_store_op x.x_op o.x_result
-                       end;
-                       Array.unsafe_set sarr x.x_loc o.x_state';
-                       Array.unsafe_set pcs pid o.x_next;
-                       let running' =
-                         match o.x_decided with
-                         | None -> running
-                         | Some v ->
-                           Array.unsafe_set statuses pid st_decided;
-                           Array.unsafe_set m.decided pid v;
-                           running - 1
-                       in
-                       Array.unsafe_set steps pid
-                         (Array.unsafe_get steps pid + 1);
-                       m.time <- m.time + 1;
-                       Array.unsafe_set path mc pid;
+                       Array.unsafe_set !path mc pid;
                        go (depth + 1) (mc + 1) running';
                        m.time <- m.time - 1;
                        Array.unsafe_set steps pid
@@ -892,14 +800,14 @@ module Machine = struct
              if not fast then begin
                let mk = m.jlen in
                step_impl m pid;
-               Array.unsafe_set path mc pid;
+               Array.unsafe_set !path mc pid;
                go (depth + 1) (mc + 1)
                  (if is_running m pid then running else running - 1);
                undo_to m mk
              end);
             if crash_faults then begin
               Array.unsafe_set statuses pid st_crashed;
-              Array.unsafe_set path mc (-pid - 1);
+              Array.unsafe_set !path mc (-pid - 1);
               go depth (mc + 1) (running - 1);
               Array.unsafe_set statuses pid st_running
             end

@@ -160,6 +160,8 @@ module Machine : sig
 
   val walk_naive :
     ?tick:(walk_stats -> unit) ->
+    ?on_terminal:(int array -> int -> unit) ->
+    ?on_truncated:(int array -> int -> unit) ->
     crash_faults:bool ->
     max_steps:int ->
     depth0:int ->
@@ -168,40 +170,28 @@ module Machine : sig
     unit
   (** Exhaustive naive enumeration (every interleaving; with
       [crash_faults], every crash placement), counting into
-      [walk_stats] — the machine's raw hot path.  Because the caller
-      observes no configurations, each move's undo data lives in the
-      DFS stack frame: memoized transitions bypass the journal entirely
-      and the walk allocates nothing once the per-instruction
-      transition memos are warm.  Traversal order and counter semantics
-      match the {!Explore} naive DFS; [tick] fires every 8192nd
-      configuration counted from [w_configs]'s initial value.  Steps
-      are not phase-attributed; metrics counters are fed as usual.
-      The machine is back in its pre-walk state on return. *)
+      [walk_stats] — the machine's raw hot path.  Each move's undo data
+      lives in the DFS stack frame: memoized transitions bypass the
+      journal entirely and the walk allocates nothing once the
+      per-instruction transition memos are warm.  Traversal order and
+      counter semantics match the {!Explore} naive DFS; [tick] fires
+      every 8192nd configuration counted from [w_configs]'s initial
+      value.  Steps are not phase-attributed; metrics counters are fed
+      as usual.  The machine is back in its pre-walk state on return.
 
-  val walk_naive_checked :
-    ?tick:(walk_stats -> unit) ->
-    crash_faults:bool ->
-    max_steps:int ->
-    depth0:int ->
-    path:int array ->
-    on_terminal:(int -> unit) ->
-    on_truncated:(int -> unit) ->
-    walk_stats ->
-    t ->
-    unit
-  (** {!walk_naive} with per-leaf hooks: the same traversal, counters
-      and allocation-free memoized hot path, but every move is recorded
-      into [path] — a step of process [p] as [p], a crash of [p] as
-      [-p-1] — and [on_terminal] (resp. [on_truncated]) fires at each
-      terminal (resp. step-bound-truncated) leaf with the number of
-      moves currently recorded.  [path] must have at least
-      [max_steps + n_procs + 1] slots: at most [max_steps] step moves
-      plus one crash per process on any branch.  Because memoized
-      transitions bypass the journal, the machine's journal does not
-      cover the schedule at a leaf — hooks needing the trace must
-      replay [path] from the walk's root configuration (which is what
-      {!Config_view.of_machine_flat} arranges).  Hooks observe the
-      machine live, mid-walk, and must not step or undo it. *)
+      The walk owns a move path: every move is recorded into it — a
+      step of process [p] as [p], a crash of [p] as [-p-1] — and it
+      grows with the depth reached, whatever [max_steps] says.
+      [on_terminal] (resp. [on_truncated]) fires at each terminal
+      (resp. step-bound-truncated) leaf with the path and the number of
+      moves recorded, [mc]: [path.(0 .. mc-1)] leads from the walk's
+      root to the leaf.  The array is valid only during the hook call.
+      Because memoized transitions bypass the journal, the machine's
+      journal does not cover the schedule at a leaf — hooks needing the
+      trace must replay the path from the walk's root configuration
+      (which is what {!Config_view.of_machine_flat} arranges).  Hooks
+      observe the machine live, mid-walk, and must not step or undo
+      it. *)
 
   val access : t -> int -> (string * bool) option
   (** [(loc, is_read)] of the operation process [pid] is about to
@@ -376,7 +366,7 @@ module Config_view : sig
 
   val of_machine_flat : Machine.t -> replay:(unit -> config) -> t
   (** Zero-copy view over a machine whose journal does not cover every
-      move, such as one driven by {!Machine.walk_naive_checked} or
+      move, such as one driven by {!Machine.walk_naive} or
       {!Machine.step_frame}.  Flat accessors (statuses, decisions,
       steps, store state) read the machine arrays directly; trace-shaped
       accessors ({!trace}, {!last_event}, {!config}, {!trace_length},

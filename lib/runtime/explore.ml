@@ -57,7 +57,6 @@ module Options = struct
     domains : int;
     backend : Engine.backend;
     footprints : (string list * string list) array;
-    analyze : (Engine.Config_view.t -> unit) option;
     on_terminal : (Engine.Config_view.t -> unit) option;
     on_truncated : (Engine.Config_view.t -> unit) option;
     on_lowering : (Program.Compiled.report array -> unit) option;
@@ -73,7 +72,6 @@ module Options = struct
       domains = 1;
       backend = Engine.Persistent;
       footprints = [||];
-      analyze = None;
       on_terminal = None;
       on_truncated = None;
       on_lowering = None;
@@ -266,13 +264,12 @@ end)
    chunk every 1024 entries and doubles the index at half load), and
    the GC neither promotes nor scans an entry.
 
-   The intern tables belong to the table, not to a walk: with
-   [domains > 1] one worker's table serves several frontier items, each
-   its own walk with its own hash-consing table, and [split_frontier]
-   builds their starting histories un-consed.  So ids are assigned
-   structurally and mean the same in every walk the table serves. *)
+   The intern tables belong to the table, and a table serves exactly
+   one walk: a run with dedup makes one walk, from the root, on one
+   worker.  An id therefore only has to name one class of
+   [Fingerprint.equal]'s equality within that walk. *)
 type ktbl = {
-  mutable k_width : int;  (** [W], fixed by the first walk; [-1] before *)
+  k_width : int;  (** [W] *)
   mutable k_chunks : int array array;  (** [[||]]: chunk not allocated *)
   mutable k_count : int;
   mutable k_index : int array;
@@ -298,9 +295,9 @@ let hist_shift = 24
 let max_payload = 1 lsl (hist_shift - payload_shift)
 let max_hist = 1 lsl (Sys.int_size - 1 - hist_shift)
 
-let ktbl_create () =
+let ktbl_create width =
   {
-    k_width = -1;
+    k_width = width;
     k_chunks = [||];
     k_count = 0;
     k_index = Array.make 1024 0;
@@ -308,13 +305,6 @@ let ktbl_create () =
     k_faults = Hashtbl.create 8;
     k_hists = Htbl.create 256;
   }
-
-(* Every walk a table serves explores the same initial configuration's
-   arena layout and process count. *)
-let ktbl_shape t w =
-  if t.k_width < 0 then t.k_width <- w
-  else if t.k_width <> w then
-    invalid_arg "Explore: visited table shared by walks of different shapes"
 
 let field_overflow what limit =
   failwith
@@ -456,43 +446,16 @@ let ktbl_bytes t =
   in
   words * (Sys.word_size / 8)
 
-(* Visited-set representation, fixed per run by [opts]: [explore_seq]
-   stores the sleep set at first visit as a move list keyed by full
-   fingerprints; the reduced arena walk uses the key table above.
-   Dispatch depends on [opts] alone — never on a particular DFS item —
-   so workers can pick the representation before seeing any work and
-   share one table across their frontier items. *)
-type visited_tbl =
-  | V_lists of move list Fingerprint.Tbl.t
-  | V_keys of ktbl
-
-let visited_create opts size =
-  if not opts.o_dedup then None
-  else if opts.o_walker = Arena_reduced then Some (V_keys (ktbl_create ()))
-  else Some (V_lists (Fingerprint.Tbl.create size))
-
-let visited_lists = function Some (V_lists t) -> Some t | _ -> None
-let visited_keys = function Some (V_keys t) -> Some t | _ -> None
-
 let g_visited_entries = Lepower_obs.Metrics.gauge "explore.visited.entries"
 let g_visited_bytes = Lepower_obs.Metrics.gauge "explore.visited.bytes"
 
-(* Size of the reduced arena walk's visited tables, summed over the
-   workers that built them: set once per exploration, never per probe. *)
-let record_visited opts tables =
-  if
-    opts.o_walker = Arena_reduced && opts.o_dedup
-    && Lepower_obs.Metrics.is_enabled ()
-  then begin
-    let keys = List.filter_map visited_keys tables in
-    let sum f = List.fold_left (fun acc t -> acc + f t) 0 keys in
-    Lepower_obs.Metrics.set g_visited_entries
-      (Float.of_int (sum (fun t -> t.k_count)));
-    Lepower_obs.Metrics.set g_visited_bytes (Float.of_int (sum ktbl_bytes))
+(* Size of the reduced arena walk's visited table: set once per
+   exploration, never per probe. *)
+let record_visited t =
+  if Lepower_obs.Metrics.is_enabled () then begin
+    Lepower_obs.Metrics.set g_visited_entries (Float.of_int t.k_count);
+    Lepower_obs.Metrics.set g_visited_bytes (Float.of_int (ktbl_bytes t))
   end
-
-let initial_histories (config : Engine.config) =
-  Array.make (Array.length config.Engine.procs) Fingerprint.history_empty
 
 (* Step process [pid] and, when memoizing, extend its fingerprint history
    with the event the step appended (decide steps and store-rejected
@@ -523,6 +486,64 @@ let moves_of opts pids =
     pids
 
 (* ------------------------------------------------------------------ *)
+(* Leaves.                                                            *)
+
+(* The leaf hooks in the shape every walker calls them: the leaf's view
+   and a thunk for its root-to-leaf decisions, newest first. *)
+type hook =
+  (Engine.Config_view.t -> (unit -> Repro.decision list) -> unit) option
+
+type hooks = { h_terminal : hook; h_truncated : hook }
+
+(* Every walker's leaf ends here, once the walker has counted it: a
+   terminal ([terminal]) or a step-bound truncation goes to its hook,
+   and the view is built only when that hook is set. *)
+let on_leaf hooks ~terminal view path =
+  match if terminal then hooks.h_terminal else hooks.h_truncated with
+  | None -> ()
+  | Some f -> f (view ()) path
+
+(* A leaf of the persistent walkers, which carry the configuration and
+   its path. *)
+let config_leaf hooks ~terminal config rpath =
+  on_leaf hooks ~terminal
+    (fun () -> Engine.Config_view.of_config config)
+    (fun () -> rpath)
+
+(* The leaves of an arena walk over machine [m], lowered from [config0],
+   whose own path from the exploration root is [rpath0].  The walk names
+   a leaf by its move path [path.(0 .. mc-1)], a step of [p] as [p] and a
+   crash as [-p-1].  The hook sees a flat view of the live machine that
+   replays the moves only when a trace-shaped accessor asks, and a
+   decisions thunk; both read the path, so both are valid only while the
+   hook runs. *)
+let arena_leaves hooks m config0 rpath0 =
+  let path = ref [||] and mc = ref 0 in
+  let decisions () =
+    let ds = ref rpath0 in
+    for i = 0 to !mc - 1 do
+      let mv = !path.(i) in
+      ds := (if mv >= 0 then Repro.Step mv else Repro.Crash (-mv - 1)) :: !ds
+    done;
+    !ds
+  in
+  let replay () =
+    let cfg = ref config0 in
+    for i = 0 to !mc - 1 do
+      let mv = !path.(i) in
+      cfg :=
+        (if mv >= 0 then Engine.step !cfg mv else Engine.crash !cfg (-mv - 1))
+    done;
+    !cfg
+  in
+  let view () = Engine.Config_view.of_machine_flat m ~replay in
+  fun ~terminal p c ->
+    (* the walk's path only changes when it grows: skip the barrier *)
+    if p != !path then path := p;
+    mc := c;
+    on_leaf hooks ~terminal view decisions
+
+(* ------------------------------------------------------------------ *)
 (* The sequential core: DFS with optional visited-set memoization and  *)
 (* sleep-set partial-order reduction.                                  *)
 (*                                                                     *)
@@ -544,8 +565,13 @@ let moves_of opts pids =
 (* node is re-explored with the intersection (state-space caching      *)
 (* discipline), which keeps the combination sound.                     *)
 
-let explore_seq ~opts ~acc ?tick ~visited ~analyze ~on_terminal ~on_truncated
-    (config0, histories0, depth0, rpath0) =
+(* A walk with dedup starts only at the exploration root (reduced runs
+   take one worker), so its histories start empty; a naive walk from a
+   frontier item never reads them. *)
+let explore_seq ~opts ~acc ?tick ~hooks (config0, depth0, rpath0) =
+  let visited =
+    if opts.o_dedup then Some (Fingerprint.Tbl.create 4096) else None
+  in
   let rec go config histories depth rpath sleep =
     if depth > acc.a_max_depth then acc.a_max_depth <- depth;
     let enabled = Engine.enabled config in
@@ -557,21 +583,11 @@ let explore_seq ~opts ~acc ?tick ~visited ~analyze ~on_terminal ~on_truncated
         (match tick with Some f -> f acc | None -> ());
       match enabled with
       | [] ->
-        (match (analyze, on_terminal) with
-        | None, None -> acc.a_terminals <- acc.a_terminals + 1
-        | _ ->
-          (* One view per terminal, shared by both hooks, so the
-             soundness guard sees every access the leaf performed. *)
-          let view = Engine.Config_view.of_config config in
-          let path () = rpath in
-          (match analyze with None -> () | Some f -> f view path);
-          acc.a_terminals <- acc.a_terminals + 1;
-          (match on_terminal with None -> () | Some f -> f view path))
+        acc.a_terminals <- acc.a_terminals + 1;
+        config_leaf hooks ~terminal:true config rpath
       | _ when depth >= opts.o_max_steps ->
         acc.a_truncated <- acc.a_truncated + 1;
-        (match on_truncated with
-        | None -> ()
-        | Some f -> f (Engine.Config_view.of_config config) (fun () -> rpath))
+        config_leaf hooks ~terminal:false config rpath
       | pids ->
         (* A choice point is a configuration where the adversary has more
            than one move: several enabled processes, or (with crash
@@ -650,21 +666,21 @@ let explore_seq ~opts ~acc ?tick ~visited ~analyze ~on_terminal ~on_truncated
       | `Dedup -> acc.a_deduped <- acc.a_deduped + 1
       | `Proceed sleep -> proceed sleep)
   in
-  go config0 histories0 depth0 rpath0 []
+  go config0
+    (Array.make (Array.length config0.Engine.procs) Fingerprint.history_empty)
+    depth0 rpath0 []
 
-(* Specialized arena walk for the naive mode (no dedup, no POR, no
-   lockstep shadow): the traversal needs no move lists, no sleep sets
-   and no decision accumulation, so the whole DFS runs allocation-free
-   on the machine's memoized hot path — with or without callbacks.
-   Hooks observe each leaf through a flat [Config_view]: the usual
-   checker reads (statuses, decisions, steps, store state) are O(1)
-   array reads on the live machine, and only a hook that actually asks
-   for the trace or the decision path pays, by replaying the walker's
-   recorded move path from this item's root configuration.  Same
-   traversal order and counters as [explore_seq]; that equality is
+(* Specialized arena walk for the naive mode (no dedup, no POR): the
+   traversal needs no move lists, no sleep sets and no decision
+   accumulation, so the machine's allocation-free memoized walk runs the
+   whole DFS, with or without hooks.  Hooks observe each leaf through
+   [arena_leaves]: the usual checker reads (statuses, decisions, steps,
+   store state) are O(1) array reads on the live machine, and only a
+   hook that actually asks for the trace or the decision path pays, by
+   replaying the walk's move path from this item's root configuration.
+   Same traversal order and counters as [explore_seq]; that equality is
    what the cross-backend tests pin down. *)
-let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
-    ~on_truncated (config0, _histories0, depth0, rpath0) =
+let explore_arena_naive ~opts ~acc ?tick ~hooks (config0, depth0, rpath0) =
   let m = Engine.Machine.of_config config0 in
   (* [ws] starts from the shared accumulator so the tick cadence
      ([a_configs land 8191]) is unchanged. *)
@@ -685,75 +701,25 @@ let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
     acc.a_choice_points <- ws.Engine.Machine.w_choice_points
   in
   let tick =
-    match tick with
-    | None -> None
-    | Some f ->
-      Some
-        (fun ws ->
-          sync ws;
-          f acc)
+    Option.map
+      (fun f ws ->
+        sync ws;
+        f acc)
+      tick
   in
+  let at_leaf = arena_leaves hooks m config0 rpath0 in
+  let hook ~terminal h = Option.map (fun _ -> at_leaf ~terminal) h in
   (* [~finally]: a hook may abort the walk ([check_all] raises
      [Stop_exploration] on the first violation); the counters walked so
      far still belong in the accumulator. *)
   Fun.protect
     ~finally:(fun () -> sync ws)
     (fun () ->
-      match (analyze, on_terminal, on_truncated) with
-      | None, None, None ->
-        (* Counting-only walk: hand the whole enumeration to the
-           machine's journal-free hot path. *)
-        Engine.Machine.walk_naive ?tick ~crash_faults:opts.o_crash_faults
-          ~max_steps:opts.o_max_steps ~depth0 ws m
-      | _ ->
-        let path = Array.make (opts.o_max_steps + Engine.Machine.n_procs m + 2) 0 in
-        let mc_now = ref 0 in
-        (* Both thunks read [path.(0 .. !mc_now - 1)], the move path of
-           the leaf whose hook is currently running; they are only
-           valid for the duration of that hook call (the same borrow
-           discipline as the view itself). *)
-        let decisions () =
-          let ds = ref rpath0 in
-          for i = 0 to !mc_now - 1 do
-            let mv = Array.unsafe_get path i in
-            ds :=
-              (if mv >= 0 then Repro.Step mv else Repro.Crash (-mv - 1))
-              :: !ds
-          done;
-          !ds
-        in
-        let replay () =
-          let cfg = ref config0 in
-          for i = 0 to !mc_now - 1 do
-            let mv = Array.unsafe_get path i in
-            cfg :=
-              (if mv >= 0 then Engine.step !cfg mv
-               else Engine.crash !cfg (-mv - 1))
-          done;
-          !cfg
-        in
-        let on_terminal_mc mc =
-          match (analyze, on_terminal) with
-          | None, None -> ()
-          | _ ->
-            mc_now := mc;
-            (* One view per terminal, shared by both hooks, so the
-               soundness guard sees every access the leaf performed. *)
-            let view = Engine.Config_view.of_machine_flat m ~replay in
-            (match analyze with None -> () | Some f -> f view decisions);
-            (match on_terminal with None -> () | Some f -> f view decisions)
-        in
-        let on_truncated_mc mc =
-          match on_truncated with
-          | None -> ()
-          | Some f ->
-            mc_now := mc;
-            f (Engine.Config_view.of_machine_flat m ~replay) decisions
-        in
-        Engine.Machine.walk_naive_checked ?tick
-          ~crash_faults:opts.o_crash_faults ~max_steps:opts.o_max_steps
-          ~depth0 ~path ~on_terminal:on_terminal_mc
-          ~on_truncated:on_truncated_mc ws m);
+      Engine.Machine.walk_naive ?tick
+        ?on_terminal:(hook ~terminal:true hooks.h_terminal)
+        ?on_truncated:(hook ~terminal:false hooks.h_truncated)
+        ~crash_faults:opts.o_crash_faults ~max_steps:opts.o_max_steps ~depth0
+        ws m);
   m
 
 (* Reduced exploration (dedup and/or sleep-set POR) journal-free on the
@@ -765,8 +731,9 @@ let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
    maintained fingerprint sums and the dedup key is a live int array
    updated beside them, so no [Machine.config], no move list and no
    sleep list is ever materialized on the hot path.  Leaf hooks observe
-   the machine through the same flat view as the naive checked walk,
-   replaying the recorded move path on demand.
+   the machine through [arena_leaves], like the naive walk's.  A reduced
+   run takes one worker, so this walk always starts at the exploration
+   root and owns its visited table.
 
    Fidelity: traversal order (pids ascending, step before crash, crash
    at the same depth), counter cadence (including the [a_por_checks] /
@@ -775,11 +742,10 @@ let explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
    the reference's list filter does), dedup actions and the
    caching-discipline subset/intersection tests all mirror
    [explore_seq] exactly; the cross-backend digest tests pin this. *)
-let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
-    ~on_truncated (config0, histories0, depth0, rpath0) =
+let explore_arena_reduced ~opts ~acc ?tick ~hooks config0 =
   let m = Engine.Machine.of_config config0 in
   let n = Engine.Machine.n_procs m in
-  let histories = Array.copy histories0 in
+  let histories = Array.make n Fingerprint.history_empty in
   let store_sum = ref 0 and proc_sum = ref 0 in
   let bindings = Engine.Machine.state_bindings m in
   let nl = List.length bindings in
@@ -788,6 +754,7 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
      Updated beside the fingerprint sums at every move and restored on
      backtrack; without dedup it stays all zero. *)
   let key = Array.make (nl + n) 0 in
+  let visited = if opts.o_dedup then Some (ktbl_create (nl + n)) else None in
   (* Per-walk fingerprint plumbing: histories are extended through a
      hash-consing table so re-derived spines stay physically shared
      (history interning then hits by pointer), and each location's
@@ -831,7 +798,6 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
   (match visited with
   | None -> ()
   | Some tbl ->
-    ktbl_shape tbl (nl + n);
     List.iteri (fun slot (_, v) -> key.(slot) <- value_id tbl v) bindings;
     for pid = 0 to n - 1 do
       key.(nl + pid) <-
@@ -839,51 +805,30 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
           (Engine.Machine.status m pid)
           (hist_id tbl histories.(pid))
     done;
-    let s, p = Fingerprint.sums config0 histories0 in
+    let s, p = Fingerprint.sums config0 histories in
     store_sum := s;
     proc_sum := p);
-  (* Move path + per-move frames: [mc] indexes both.  At most
-     [max_steps] step moves plus one crash per process on any branch. *)
-  let slots = opts.o_max_steps + n + 2 in
-  let path = Array.make slots 0 in
-  (* Frames grow with the deepest branch actually reached, not with the
-     [max_steps] bound — a frame per *live* move, reused across
-     siblings at the same stack depth. *)
+  (* Move path and per-move frames, both indexed by [mc] and grown
+     together with the deepest branch reached, never with [max_steps]: a
+     frame per live move, reused across siblings at the same depth. *)
+  let path = ref (Array.make 64 0) in
   let frames = ref (Array.init 64 (fun _ -> Engine.Machine.frame ())) in
   let frame_at mc =
     let fa = !frames in
     let len = Array.length fa in
     if mc < len then Array.unsafe_get fa mc
     else begin
-      let fa' =
-        Array.init
-          (min slots (max (2 * len) (mc + 1)))
-          (fun i -> if i < len then fa.(i) else Engine.Machine.frame ())
-      in
-      frames := fa';
-      fa'.(mc)
+      let len' = max (2 * len) (mc + 1) in
+      let p = Array.make len' 0 in
+      Array.blit !path 0 p 0 len;
+      path := p;
+      frames :=
+        Array.init len' (fun i ->
+            if i < len then fa.(i) else Engine.Machine.frame ());
+      !frames.(mc)
     end
   in
-  let mc_now = ref 0 in
-  (* Hook thunks, as in [explore_arena_naive]: valid only while the
-     hook runs, reconstruct the schedule from [path.(0 .. !mc_now-1)]. *)
-  let decisions () =
-    let ds = ref rpath0 in
-    for i = 0 to !mc_now - 1 do
-      let mv = Array.unsafe_get path i in
-      ds := (if mv >= 0 then Repro.Step mv else Repro.Crash (-mv - 1)) :: !ds
-    done;
-    !ds
-  in
-  let replay () =
-    let cfg = ref config0 in
-    for i = 0 to !mc_now - 1 do
-      let mv = Array.unsafe_get path i in
-      cfg :=
-        (if mv >= 0 then Engine.step !cfg mv else Engine.crash !cfg (-mv - 1))
-    done;
-    !cfg
-  in
+  let at_leaf = arena_leaves hooks m config0 [] in
   (* Sleep-set filter for the child of taken move [(q, q_crash)]: keep
      each candidate bit of [cand] that is independent of the move, with
      the static fast matrix consulted first — the same per-candidate
@@ -941,24 +886,12 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
       if acc.a_configs land 8191 = 0 then
         (match tick with Some f -> f acc | None -> ());
       if running = 0 then begin
-        match (analyze, on_terminal) with
-        | None, None -> acc.a_terminals <- acc.a_terminals + 1
-        | _ ->
-          mc_now := mc;
-          (* One view per terminal, shared by both hooks, so the
-             soundness guard sees every access the leaf performed. *)
-          let view = Engine.Config_view.of_machine_flat m ~replay in
-          (match analyze with None -> () | Some f -> f view decisions);
-          acc.a_terminals <- acc.a_terminals + 1;
-          (match on_terminal with None -> () | Some f -> f view decisions)
+        acc.a_terminals <- acc.a_terminals + 1;
+        at_leaf ~terminal:true !path mc
       end
       else if depth >= opts.o_max_steps then begin
         acc.a_truncated <- acc.a_truncated + 1;
-        match on_truncated with
-        | None -> ()
-        | Some f ->
-          mc_now := mc;
-          f (Engine.Config_view.of_machine_flat m ~replay) decisions
+        at_leaf ~terminal:false !path mc
       end
       else begin
         if running >= 2 || opts.o_crash_faults then
@@ -967,6 +900,9 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
           if opts.o_por then Array.init n (Engine.Machine.access_enc m)
           else [||]
         in
+        (* every step move below reuses this frame, and every move
+           writes path slot [mc], which [frame_at] makes room for *)
+        let f = frame_at mc in
         let explored = ref 0 in
         for pid = 0 to n - 1 do
           if Engine.Machine.is_running m pid then begin
@@ -978,7 +914,6 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
                    child_sleep_of accs (!explored lor sleep) pid false
                  else 0
                in
-               let f = frame_at mc in
                let saved_hist = histories.(pid) in
                let saved_ssum = !store_sum and saved_psum = !proc_sum in
                let saved_word = key.(nl + pid) in
@@ -1015,7 +950,7 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
                    - Fingerprint.proc_hash ~pid Proc.Running saved_hist
                    + Fingerprint.proc_hash ~pid status histories.(pid);
                  key.(nl + pid) <- proc_word tbl status hid);
-               Array.unsafe_set path mc pid;
+               Array.unsafe_set !path mc pid;
                go (depth + 1) (mc + 1)
                  (if Engine.Machine.is_running m pid then running
                   else running - 1)
@@ -1048,7 +983,7 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
                     + Fingerprint.proc_hash ~pid Proc.Crashed histories.(pid);
                   (* a running process's word has payload 0 *)
                   key.(nl + pid) <- saved_word lor code_crashed);
-                Array.unsafe_set path mc (-pid - 1);
+                Array.unsafe_set !path mc (-pid - 1);
                 go depth (mc + 1) (running - 1) child_sleep;
                 Engine.Machine.uncrash_frame m pid;
                 proc_sum := saved_psum;
@@ -1089,74 +1024,56 @@ let explore_arena_reduced ~opts ~acc ?tick ~visited ~analyze ~on_terminal
   for pid = 0 to n - 1 do
     if Engine.Machine.is_running m pid then incr running0
   done;
-  go depth0 0 !running0 0;
+  go 0 0 !running0 0;
+  Option.iter record_visited visited;
   m
 
-(* Walker dispatch for one DFS item — the single worker entry point for
-   both the [domains <= 1] path and the frontier workers. *)
-let explore_item ~opts ~acc ?tick ~visited ~analyze ~on_terminal
-    ~on_truncated ~on_lowering item =
+(* Walker dispatch for one DFS item: the whole run, from the root, when
+   one worker walks, or one frontier item of a parallel naive run. *)
+let explore_item ~opts ~acc ?tick ~hooks ~on_lowering ((config, _, _) as item)
+    =
   let lowered m =
     match on_lowering with
     | None -> ()
     | Some f -> f (Engine.Machine.reports m)
   in
   match opts.o_walker with
-  | Seq ->
-    explore_seq ~opts ~acc ?tick ~visited:(visited_lists visited) ~analyze
-      ~on_terminal ~on_truncated item
-  | Arena_naive ->
-    lowered
-      (explore_arena_naive ~opts ~acc ?tick ~analyze ~on_terminal
-         ~on_truncated item)
+  | Seq -> explore_seq ~opts ~acc ?tick ~hooks item
+  | Arena_naive -> lowered (explore_arena_naive ~opts ~acc ?tick ~hooks item)
   | Arena_reduced ->
-    lowered
-      (explore_arena_reduced ~opts ~acc ?tick ~visited:(visited_keys visited)
-         ~analyze ~on_terminal ~on_truncated item)
+    (* a reduced run's only item is the root *)
+    lowered (explore_arena_reduced ~opts ~acc ?tick ~hooks config)
 
 (* ------------------------------------------------------------------ *)
 (* Multicore frontier exploration.                                    *)
 
-(* Expand the first few levels of the schedule tree breadth-first (naive:
-   no memoization or reduction, so the split is exact) until at least
-   [target] roots exist; leaves met on the way are dispatched to the
-   callbacks right here in the coordinator.  Returns the frontier in
-   deterministic (schedule) order, each root carrying its path prefix. *)
-let split_frontier ~opts ~acc ~analyze ~on_terminal ~on_truncated ~target
-    config =
-  let expand (config, histories, depth, rpath) =
+(* Expand the first few levels of the schedule tree breadth-first (only
+   naive runs split, so the split is exact) until at least [target]
+   roots exist; leaves met on the way are dispatched to the callbacks
+   right here in the coordinator.  Returns the frontier in deterministic
+   (schedule) order, each root carrying its depth and path prefix. *)
+let split_frontier ~opts ~acc ~hooks ~target config =
+  let expand (config, depth, rpath) =
     if depth > acc.a_max_depth then acc.a_max_depth <- depth;
     acc.a_configs <- acc.a_configs + 1;
     match Engine.enabled config with
     | [] ->
-      (match (analyze, on_terminal) with
-      | None, None -> acc.a_terminals <- acc.a_terminals + 1
-      | _ ->
-        let view = Engine.Config_view.of_config config in
-        let path () = rpath in
-        (match analyze with None -> () | Some f -> f view path);
-        acc.a_terminals <- acc.a_terminals + 1;
-        (match on_terminal with None -> () | Some f -> f view path));
+      acc.a_terminals <- acc.a_terminals + 1;
+      config_leaf hooks ~terminal:true config rpath;
       []
     | _ when depth >= opts.o_max_steps ->
       acc.a_truncated <- acc.a_truncated + 1;
-      (match on_truncated with
-      | None -> ()
-      | Some f -> f (Engine.Config_view.of_config config) (fun () -> rpath));
+      config_leaf hooks ~terminal:false config rpath;
       []
     | pids ->
       if (match pids with _ :: _ :: _ -> true | _ -> opts.o_crash_faults)
       then acc.a_choice_points <- acc.a_choice_points + 1;
-      List.concat_map
+      List.map
         (fun m ->
           let rpath' = decision_of_move m :: rpath in
           match m with
-          | Step_m pid ->
-            let config', histories' =
-              step_with_history opts config histories pid
-            in
-            [ (config', histories', depth + 1, rpath') ]
-          | Crash_m pid -> [ (Engine.crash config pid, histories, depth, rpath') ])
+          | Step_m pid -> (Engine.step config pid, depth + 1, rpath')
+          | Crash_m pid -> (Engine.crash config pid, depth, rpath'))
         (moves_of opts pids)
   in
   let rec grow frontier =
@@ -1166,25 +1083,24 @@ let split_frontier ~opts ~acc ~analyze ~on_terminal ~on_truncated ~target
       | [] -> []
       | next -> grow next
   in
-  grow [ (config, initial_histories config, 0, []) ]
+  grow [ (config, 0, []) ]
 
 (* Workers share nothing: each gets every [i mod domains = w]-th frontier
    root (static split, so per-worker work — and therefore every merged
-   count — is deterministic), its own visited table, and its own
-   accumulator.  User callbacks are serialized through one mutex by the
-   caller.  A worker that raises (e.g. [Stop_exploration] out of a
-   checking callback) stops early; its exception is re-raised by the
-   coordinator after all workers are joined. *)
+   count — is deterministic) and its own accumulator.  User callbacks
+   are serialized through one mutex by the caller.  A worker that raises
+   (e.g. [Stop_exploration] out of a checking callback) stops early; its
+   exception is re-raised by the coordinator after all workers are
+   joined. *)
 (* Globally merged running totals for the progress callback: workers
    publish their accumulator deltas with atomic adds each tick, so any
    single reader sees a consistent-enough global count without touching
-   the workers' hot state. *)
+   the workers' hot state.  Parallel runs are naive, so nothing is
+   deduped or pruned. *)
 type pshared = {
   ps_configs : int Atomic.t;
   ps_terminals : int Atomic.t;
   ps_truncated : int Atomic.t;
-  ps_deduped : int Atomic.t;
-  ps_pruned : int Atomic.t;
   ps_max_depth : int Atomic.t;
 }
 
@@ -1193,20 +1109,17 @@ let pshared_create () =
     ps_configs = Atomic.make 0;
     ps_terminals = Atomic.make 0;
     ps_truncated = Atomic.make 0;
-    ps_deduped = Atomic.make 0;
-    ps_pruned = Atomic.make 0;
     ps_max_depth = Atomic.make 0;
   }
 
+(* [last]: the worker's accumulator as of its previous publish. *)
 let pshared_publish ps ~last (wacc : acc) =
   let add cell now prev =
     if now <> prev then ignore (Atomic.fetch_and_add cell (now - prev))
   in
-  add ps.ps_configs wacc.a_configs last.a_configs;
-  add ps.ps_terminals wacc.a_terminals last.a_terminals;
-  add ps.ps_truncated wacc.a_truncated last.a_truncated;
-  add ps.ps_deduped wacc.a_deduped last.a_deduped;
-  add ps.ps_pruned wacc.a_pruned last.a_pruned;
+  add ps.ps_configs wacc.a_configs !last.a_configs;
+  add ps.ps_terminals wacc.a_terminals !last.a_terminals;
+  add ps.ps_truncated wacc.a_truncated !last.a_truncated;
   let rec bump () =
     let cur = Atomic.get ps.ps_max_depth in
     if
@@ -1215,25 +1128,15 @@ let pshared_publish ps ~last (wacc : acc) =
     then bump ()
   in
   bump ();
-  acc_merge last wacc;
-  (* acc_merge adds; we want a copy of the current state instead. *)
-  last.a_terminals <- wacc.a_terminals;
-  last.a_truncated <- wacc.a_truncated;
-  last.a_max_depth <- wacc.a_max_depth;
-  last.a_choice_points <- wacc.a_choice_points;
-  last.a_configs <- wacc.a_configs;
-  last.a_deduped <- wacc.a_deduped;
-  last.a_pruned <- wacc.a_pruned;
-  last.a_por_checks <- wacc.a_por_checks;
-  last.a_fast <- wacc.a_fast
+  last := { wacc with a_configs = wacc.a_configs }
 
 let pshared_progress ps ~domains =
   {
     p_configs = Atomic.get ps.ps_configs;
     p_terminals = Atomic.get ps.ps_terminals;
     p_truncated = Atomic.get ps.ps_truncated;
-    p_deduped = Atomic.get ps.ps_deduped;
-    p_pruned = Atomic.get ps.ps_pruned;
+    p_deduped = 0;
+    p_pruned = 0;
     p_max_depth = Atomic.get ps.ps_max_depth;
     p_domains = domains;
   }
@@ -1249,20 +1152,16 @@ let g_domain_busy w =
 let g_domain_roots w =
   Lepower_obs.Metrics.gauge (Printf.sprintf "explore.domain%d.roots" w)
 
-let run_parallel ~opts ~acc ~domains ~progress ~analyze ~on_terminal
-    ~on_truncated ~on_lowering config =
+let run_parallel ~opts ~acc ~domains ~progress ~hooks ~on_lowering config =
   let frontier =
     let tok = Lepower_prof.Phase.enter ph_frontier in
-    let f =
-      split_frontier ~opts ~acc ~analyze ~on_terminal ~on_truncated
-        ~target:(domains * 4) config
-    in
+    let f = split_frontier ~opts ~acc ~hooks ~target:(domains * 4) config in
     Lepower_prof.Phase.leave tok;
     f
   in
   Lepower_obs.Metrics.set g_frontier (Float.of_int (List.length frontier));
   match frontier with
-  | [] -> (1, []) (* the whole space fit in the frontier expansion *)
+  | [] -> 1 (* the whole space fit in the frontier expansion *)
   | _ ->
     let items = Array.of_list frontier in
     let nd = min domains (Array.length items) in
@@ -1282,13 +1181,12 @@ let run_parallel ~opts ~acc ~domains ~progress ~analyze ~on_terminal
           Domain.spawn (fun () ->
               let t0 = Unix.gettimeofday () in
               let wacc = acc_create () in
-              let last = acc_create () in
+              let last = ref (acc_create ()) in
               let tick wacc =
                 pshared_publish ps ~last wacc;
                 notify ()
               in
               let tick = if progress = None then None else Some tick in
-              let visited = visited_create opts 1024 in
               let failed = ref None in
               let tok = Lepower_prof.Phase.enter ph_walk in
               (try
@@ -1297,8 +1195,8 @@ let run_parallel ~opts ~acc ~domains ~progress ~analyze ~on_terminal
                    (fun i item ->
                      if i mod nd = w then begin
                        incr roots;
-                       explore_item ~opts ~acc:wacc ?tick ~visited ~analyze
-                         ~on_terminal ~on_truncated ~on_lowering item
+                       explore_item ~opts ~acc:wacc ?tick ~hooks ~on_lowering
+                         item
                      end)
                    items;
                  Lepower_obs.Metrics.set (g_domain_roots w)
@@ -1307,14 +1205,12 @@ let run_parallel ~opts ~acc ~domains ~progress ~analyze ~on_terminal
               Lepower_prof.Phase.leave tok;
               Lepower_obs.Metrics.set (g_domain_busy w)
                 (Unix.gettimeofday () -. t0);
-              (wacc, !failed, visited)))
+              (wacc, !failed)))
     in
     let results = List.map Domain.join workers in
-    List.iter (fun (wacc, _, _) -> acc_merge acc wacc) results;
-    (match List.find_map (fun (_, e, _) -> e) results with
-    | Some e -> raise e
-    | None -> ());
-    (nd, List.map (fun (_, _, visited) -> visited) results)
+    List.iter (fun (wacc, _) -> acc_merge acc wacc) results;
+    (match List.find_map snd results with Some e -> raise e | None -> ());
+    nd
 
 let with_mutex mutex f =
   Option.map
@@ -1332,22 +1228,25 @@ let drop_path f = Option.map (fun g view _rpath -> g view) f
 (* ------------------------------------------------------------------ *)
 (* Public entry points.                                               *)
 
-(* [serialize]: wrap the callbacks in the mutex when running on several
+(* [serialize]: wrap the hooks in one mutex when running on several
    domains.  The public [explore] always serializes (arbitrary user
    callbacks); [check_all] opts out for its own pure predicate — locking
-   around every terminal would serialize the whole search — and wraps
-   only what actually needs it (the analyze hook, failure recording). *)
-let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
-    ~on_truncated config =
+   around every terminal would serialize the whole search — and locks
+   only the failure recording.
+
+   Only naive runs split over domains: a run with dedup or POR prunes
+   against one visited table and its sleep sets, which a split would
+   give each worker separately, so it takes one worker, from the root,
+   whatever [domains] says. *)
+let explore_inner ~serialize ~(options : Options.t) ~hooks config =
   let opts = opts_of options ~n_procs:(Array.length config.Engine.procs) in
   let domains = options.Options.domains in
+  let parallel = domains > 1 && not (opts.o_dedup || opts.o_por) in
   (* The lowering report fires once per DFS item, not per configuration,
      so a mutex around it is cheap even on the hottest runs. *)
   let on_lowering =
     match options.Options.on_lowering with
-    | None -> None
-    | Some f when domains <= 1 -> Some f
-    | Some f ->
+    | Some f when parallel ->
       let mutex = Mutex.create () in
       Some
         (fun reports ->
@@ -1355,12 +1254,12 @@ let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
           Fun.protect
             ~finally:(fun () -> Mutex.unlock mutex)
             (fun () -> f reports))
+    | f -> f
   in
   let acc = acc_create () in
-  let finish (domains_used, tables) =
+  let finish domains_used =
     (* Counters maintained once, from the merged totals, so they stay
        deterministic and race-free even under domain parallelism. *)
-    record_visited opts tables;
     Lepower_obs.Metrics.incr m_configs ~by:acc.a_configs;
     Lepower_obs.Metrics.incr m_choice_points ~by:acc.a_choice_points;
     Lepower_obs.Metrics.incr m_terminals ~by:acc.a_terminals;
@@ -1393,8 +1292,7 @@ let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
         ]
       (fun () ->
         let progress = options.Options.progress in
-        if domains <= 1 then begin
-          let visited = visited_create opts 4096 in
+        if not parallel then begin
           let tick =
             Option.map
               (fun f (acc : acc) ->
@@ -1411,31 +1309,31 @@ let explore_inner ~serialize ~(options : Options.t) ~analyze ~on_terminal
               progress
           in
           let tok = Lepower_prof.Phase.enter ph_walk in
-          explore_item ~opts ~acc ?tick ~visited ~analyze ~on_terminal
-            ~on_truncated ~on_lowering
-            (config, initial_histories config, 0, []);
+          explore_item ~opts ~acc ?tick ~hooks ~on_lowering (config, 0, []);
           Lepower_prof.Phase.leave tok;
-          (1, [ visited ])
-        end
-        else if serialize then begin
-          let mutex = Mutex.create () in
-          run_parallel ~opts ~acc ~domains ~progress
-            ~analyze:(with_mutex mutex analyze)
-            ~on_terminal:(with_mutex mutex on_terminal)
-            ~on_truncated:(with_mutex mutex on_truncated)
-            ~on_lowering config
+          1
         end
         else
-          run_parallel ~opts ~acc ~domains ~progress ~analyze ~on_terminal
-            ~on_truncated ~on_lowering config)
+          let hooks =
+            if not serialize then hooks
+            else
+              let mutex = Mutex.create () in
+              {
+                h_terminal = with_mutex mutex hooks.h_terminal;
+                h_truncated = with_mutex mutex hooks.h_truncated;
+              }
+          in
+          run_parallel ~opts ~acc ~domains ~progress ~hooks ~on_lowering config)
   in
   finish run
 
 let explore ?(options = Options.default) config =
   explore_inner ~serialize:true ~options
-    ~analyze:(drop_path options.Options.analyze)
-    ~on_terminal:(drop_path options.Options.on_terminal)
-    ~on_truncated:(drop_path options.Options.on_truncated)
+    ~hooks:
+      {
+        h_terminal = drop_path options.Options.on_terminal;
+        h_truncated = drop_path options.Options.on_truncated;
+      }
     config
 
 type violation = {
@@ -1447,19 +1345,18 @@ type violation = {
 exception Unsound_predicate of string
 
 let unsound_message =
-  "Explore.check_all: the predicate (or analyze hook) inspected the global \
+  "Explore.check_all: the predicate inspected the global \
    trace order (Config_view.trace / last_event / config) on a satisfying \
    terminal while dedup or por was enabled; the reductions only preserve \
    trace-order-insensitive properties, so the verdict would be unsound. \
    Disable dedup/por, or restate the predicate with order-insensitive \
    accessors (statuses, decisions, steps, store_state, events_of)."
 
-let check_all_gen ~guard ~(options : Options.t) config predicate =
+let check_all ?(options = Options.default) config predicate =
   (* The predicate is a pure function of the view, so under domain
      parallelism it runs concurrently in the workers with no lock — a
      per-terminal mutex would serialize the entire search.  Only the
-     two effectful spots synchronize: recording the first violation, and
-     the caller's [analyze] hook (arbitrary user code). *)
+     effectful spot synchronizes: recording the first violation. *)
   let mutex = Mutex.create () in
   let failure = ref None in
   let record view path message =
@@ -1482,9 +1379,7 @@ let check_all_gen ~guard ~(options : Options.t) config predicate =
      interleavings when the predicate never looked at the global order.
      A violation is exempt — its witness schedule is genuinely executed
      — so the guard fires only on satisfying terminals. *)
-  let guard_order =
-    guard && (options.Options.dedup || options.Options.por)
-  in
+  let guard_order = options.Options.dedup || options.Options.por in
   let on_terminal view path =
     match predicate view with
     | Ok () ->
@@ -1510,17 +1405,14 @@ let check_all_gen ~guard ~(options : Options.t) config predicate =
   in
   match
     explore_inner ~serialize:false ~options
-      ~analyze:(with_mutex mutex (drop_path options.Options.analyze))
-      ~on_terminal:(Some on_terminal) ~on_truncated:(Some on_truncated) config
+      ~hooks:{ h_terminal = Some on_terminal; h_truncated = Some on_truncated }
+      config
   with
   | stats -> Ok stats
   | exception Stop_exploration -> (
     match !failure with
     | Some v -> Error v
     | None -> assert false)
-
-let check_all ?(options = Options.default) config predicate =
-  check_all_gen ~guard:true ~options config predicate
 
 let decision_sets ?(options = Options.default) config =
   (* Keyed by the canonical (sorted) decision multiset in a hash table:
@@ -1538,9 +1430,11 @@ let decision_sets ?(options = Options.default) config =
   in
   ignore
     (explore_inner ~serialize:true ~options
-       ~analyze:(drop_path options.Options.analyze)
-       ~on_terminal:(Some on_terminal)
-       ~on_truncated:(drop_path options.Options.on_truncated)
+       ~hooks:
+         {
+           h_terminal = Some on_terminal;
+           h_truncated = drop_path options.Options.on_truncated;
+         }
        config);
   Vtbl.fold (fun _ ds acc -> ds :: acc) sets []
   |> List.sort (List.compare Memory.Value.compare)

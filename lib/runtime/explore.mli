@@ -32,9 +32,13 @@
       independence relation: moves of distinct processes commute when
       they touch distinct locations, or both read the same location, or
       at least one touches no location (crashes, decide steps).
-    - [domains = n] splits the top of the schedule tree over [n] OCaml 5
-      domains, each running the sequential explorer; statistics merge
-      deterministically (static work split, no cross-domain sharing).
+    - [domains = n] splits the top of a {e naive} walk's schedule tree
+      over [n] OCaml 5 domains, each running the sequential explorer;
+      statistics merge deterministically (static work split, no
+      cross-domain sharing).  A run with [dedup] or [por] takes one
+      worker whatever [domains] says: the reductions prune against one
+      visited table and its sleep sets, and split workers would each
+      redo the others' work.
 
     Every mode preserves: the set of reachable terminal configurations
     up to trace-order (hence [check_all] verdicts for trace-{e order}-
@@ -44,18 +48,17 @@
     exactly.  Reductions are {b not} sound for predicates that inspect
     the global interleaving order of the trace — {!check_all} {b fails
     loudly} ({!Unsound_predicate}) when a predicate does so under
-    [dedup]/[por], using {!Engine.Config_view.order_accessed}.  With
-    [domains = n > 1] the [on_terminal]/[on_truncated]/[analyze]
+    [dedup]/[por], using {!Engine.Config_view.order_accessed}.  When a
+    naive walk runs on [domains = n > 1] the [on_terminal]/[on_truncated]
     callbacks run in worker domains, serialized by a mutex; terminal
     visit order is nondeterministic (the stats are not).
 
     {2 The checker API}
 
-    Every checker-facing hook — {!Options.t.analyze},
-    {!Options.t.on_terminal}, {!Options.t.on_truncated}, and the
-    {!check_all} predicate — takes an {!Engine.Config_view.t}: a
-    backend-neutral read-only view served zero-copy from the arena
-    machine's flat arrays (or trivially from a persistent
+    Every checker-facing hook — {!Options.t.on_terminal},
+    {!Options.t.on_truncated} and the {!check_all} predicate — takes an
+    {!Engine.Config_view.t}: a backend-neutral read-only view served
+    zero-copy from the arena machine's flat arrays (or trivially from a persistent
     configuration).  Predicates that stick to the view's O(1)/O(procs)
     accessors cost nothing per terminal on the arena backend; calling
     {!Engine.Config_view.config} materializes the old full
@@ -84,7 +87,9 @@ type stats = {
   por_fast_hits : int;
       (** queries answered by the summary-seeded commutation matrix alone
           — no per-move decoding (0 unless {!Options.t.footprints} given) *)
-  domains_used : int;  (** worker domains that actually ran (1 if serial) *)
+  domains_used : int;
+      (** worker domains that actually ran: 1 if serial, and always 1
+          with [dedup] or [por] *)
 }
 
 exception Stop_exploration
@@ -118,7 +123,10 @@ module Options : sig
             space *)
     dedup : bool;  (** fingerprint memoization (default [false]) *)
     por : bool;  (** sleep-set partial-order reduction (default [false]) *)
-    domains : int;  (** worker domains (default [1] = sequential) *)
+    domains : int;
+        (** worker domains for a naive walk (default [1] = sequential).
+            A run with [dedup] or [por] takes one worker whatever this
+            says and reports [domains_used = 1]. *)
     backend : Engine.backend;
         (** which executor runs the DFS (default [Persistent]).  There
             are three walkers, and this field picks one per run:
@@ -143,9 +151,9 @@ module Options : sig
             paths are identical across backends.  A program whose
             compiled form outgrows its node budget transparently falls
             back to closure interpretation (see
-            {!Program.Compiled}/[on_lowering]); the frontier split under
-            [domains] stays persistent either way (it is shallow and
-            exact). *)
+            {!Program.Compiled}/[on_lowering]); the frontier split of a
+            naive run under [domains] stays persistent either way (it is
+            shallow and exact). *)
     footprints : (string list * string list) array;
         (** per-pid static (may-read, may-write) location lists, indexed
             by pid — seeds a pairwise commutation matrix giving [por] a
@@ -160,29 +168,23 @@ module Options : sig
             back to the exact check.  [[||]] (the default) disables the
             fast path; verdicts, decision sets, and pruning decisions are
             identical either way. *)
-    analyze : (Engine.Config_view.t -> unit) option;
-        (** analysis hook: runs on every {e terminal} view, before
-            [on_terminal] (the two hooks share one view per terminal).
-            It exists so whole-space checkers layered on top of this
-            module ([check_all], the protocol harnesses) can still feed
-            each complete trace to an external analysis pass — e.g.
-            [Lepower_check]'s trace discipline and bounded-value lints —
-            without claiming the [on_terminal] callback for themselves.
-            With [dedup]/[por] only a representative interleaving per
-            equivalence class reaches the hook. *)
     on_terminal : (Engine.Config_view.t -> unit) option;
-        (** runs on every terminal view.  The view borrows the
-            executing machine's live state: read what you need inside
-            the callback; do not retain the view. *)
+        (** runs on every terminal view — e.g. [Lepower_check]'s trace
+            discipline and bounded-value lints, fed each complete
+            trace.  With [dedup]/[por] only a representative
+            interleaving per equivalence class reaches the hook.  The
+            view borrows the executing machine's live state: read what
+            you need inside the callback; do not retain the view. *)
     on_truncated : (Engine.Config_view.t -> unit) option;
     on_lowering : (Program.Compiled.report array -> unit) option;
         (** [Arena] walks only: called once per DFS item (once total when
-            [domains <= 1]) with the per-pid lowering reports of that
-            item's machine — how many instructions were interned,
-            edge-table hit/miss counts, and whether the process bailed
-            to the closure fallback.  Serialized by a mutex under
-            [domains].  The CLI's [--backend arena] aggregates these
-            into its lowering summary (default [None]). *)
+            one worker walks: [domains <= 1], or [dedup]/[por]) with the
+            per-pid lowering reports of that item's machine — how many
+            instructions were interned, edge-table hit/miss counts, and
+            whether the process bailed to the closure fallback.
+            Serialized by a mutex under [domains].  The CLI's
+            [--backend arena] aggregates these into its lowering summary
+            (default [None]). *)
     progress : (progress -> unit) option;
         (** called every 8192 configurations (per worker domain, merged
             globally and serialized by a mutex under [domains]) with the
@@ -193,9 +195,8 @@ module Options : sig
   val default : t
   (** [{max_steps = 10_000; crash_faults = false; dedup = false;
       por = false; domains = 1; backend = Persistent; footprints = [||];
-      analyze = None; on_terminal = None; on_truncated = None;
-      on_lowering = None; progress = None}] — the naive exhaustive walk,
-      exactly. *)
+      on_terminal = None; on_truncated = None; on_lowering = None;
+      progress = None}] — the naive exhaustive walk, exactly. *)
 end
 
 val explore : ?options:Options.t -> Engine.config -> stats
@@ -223,12 +224,12 @@ type violation = {
 }
 
 exception Unsound_predicate of string
-(** Raised by {!check_all} when the predicate (or the shared [analyze]
-    hook) read the global trace order ({!Engine.Config_view.trace},
-    [last_event] or [config]) on a {e satisfying} terminal while
-    [dedup] or [por] was enabled — the reductions prune interleavings
-    that only differ in that order, so the verdict would be unsound.
-    Violations are exempt: their witness schedule genuinely executed. *)
+(** Raised by {!check_all} when the predicate read the global trace
+    order ({!Engine.Config_view.trace}, [last_event] or [config]) on a
+    {e satisfying} terminal while [dedup] or [por] was enabled — the
+    reductions prune interleavings that only differ in that order, so
+    the verdict would be unsound.  Violations are exempt: their witness
+    schedule genuinely executed. *)
 
 val check_all :
   ?options:Options.t ->
@@ -239,7 +240,6 @@ val check_all :
     violation and report its schedule.  A truncated execution is itself a
     violation (non-termination under some schedule); its [message] names
     the truncation depth and the truncated trace's last event.
-    [options.analyze] is honored (it shares the predicate's view);
     [options.on_terminal] and [options.on_truncated] are {b ignored} —
     [check_all] claims both hooks for the predicate and truncation
     reporting.
@@ -257,10 +257,10 @@ val check_all :
     schedule reported may be a different member of the same commutation
     class.
 
-    Under [domains = n > 1] the predicate runs {b concurrently} in the
-    worker domains (it must be — and, being a function of a read-only
-    view, naturally is — pure); serializing it would serialize the
-    whole search.  [analyze] and violation recording remain
+    When a naive walk runs on [domains = n > 1] the predicate runs
+    {b concurrently} in the worker domains (it must be — and, being a
+    function of a read-only view, naturally is — pure); serializing it
+    would serialize the whole search.  Violation recording remains
     mutex-protected. *)
 
 val decision_sets :

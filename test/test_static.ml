@@ -123,7 +123,7 @@ let soundness_of_instance inst =
     {
       Runtime.Explore.Options.default with
       dedup = true;
-      analyze =
+      on_terminal =
         Some
           (fun view ->
             match

@@ -377,13 +377,13 @@ let opts ~dedup ~por backend =
   }
 
 (* Inputs the reduced arena walk's visited-table key must get right
-   beyond cas k=4 n=3 on one domain: two domains, where one worker's
-   table serves several frontier items, each a walk with its own
-   hash-consing table; several locations (perm k=3 n=2 has a cas
-   register plus SWMR logs), so a key holds several state slots; and a
-   [Faulty] status, so a key holds a fault-message payload.  The fault
-   fixture runs three cas-election processes on [C] beside one whose
-   cas names [D], which the store does not bind: its step ends
+   beyond cas k=4 n=3 on one domain: two domains requested, which a
+   reduced run ignores — it takes one worker and must report exactly the
+   one-domain run; several locations (perm k=3 n=2 has a cas register
+   plus SWMR logs), so a key holds several state slots; and a [Faulty]
+   status, so a key holds a fault-message payload.  The fault fixture
+   runs three cas-election processes on [C] beside one whose cas names
+   [D], which the store does not bind: its step ends
    [Faulty "unknown location \"D\""]. *)
 let fault_fixture () =
   let rogue =
@@ -415,19 +415,16 @@ let key_inputs () =
 
 let reduced_modes = List.filter (fun (_, dedup, _) -> dedup) modes
 
-(* (input, mode) -> (configs visited, deduped, POR pruned): the
-   persistent reference walk's counts, which the arena walk must
-   reproduce exactly. *)
+(* (input, mode) -> (configs visited, deduped, POR pruned) of the
+   one-domain inputs: the persistent reference walk's counts, which the
+   arena walk must reproduce exactly.  The two-domain inputs are held to
+   their one-domain run instead. *)
 let key_pins =
   [
-    (("cas k=4 n=3 domains=2", "dedup"), (50, 23, 0));
-    (("cas k=4 n=3 domains=2", "dedup+por"), (50, 23, 0));
     (("perm k=3 n=2", "dedup"), (28_802, 22_793, 0));
     (("perm k=3 n=2", "dedup+por"), (29_715, 3_208, 22_324));
     (("fault fixture", "dedup"), (105, 146, 0));
     (("fault fixture", "dedup+por"), (105, 3, 143));
-    (("fault fixture domains=2", "dedup"), (169, 190, 0));
-    (("fault fixture domains=2", "dedup+por"), (190, 45, 178));
   ]
 
 let test_explore_stats_agree () =
@@ -450,7 +447,7 @@ let test_explore_stats_agree () =
       List.iter
         (fun (mode, dedup, por) ->
           let faulty = Atomic.make 0 in
-          let stats backend =
+          let stats ?(domains = domains) backend =
             Explore.explore
               ~options:
                 {
@@ -476,12 +473,25 @@ let test_explore_stats_agree () =
             (msg "stats identical across backends")
             true (sp = sa);
           Alcotest.(check int) (msg "not truncated") 0 sp.Explore.truncated;
-          Alcotest.(check (triple int int int))
-            (msg "visited, deduped, pruned")
-            (List.assoc (name, mode) key_pins)
-            ( sa.Explore.configs_visited,
-              sa.Explore.configs_deduped,
-              sa.Explore.por_pruned ))
+          Alcotest.(check int) (msg "one worker") 1 sa.Explore.domains_used;
+          match List.assoc_opt (name, mode) key_pins with
+          | Some pin ->
+            Alcotest.(check (triple int int int))
+              (msg "visited, deduped, pruned")
+              pin
+              ( sa.Explore.configs_visited,
+                sa.Explore.configs_deduped,
+                sa.Explore.por_pruned )
+          | None ->
+            List.iter
+              (fun backend ->
+                Alcotest.(check bool)
+                  (msg
+                     ("stats equal to the one-domain run on "
+                     ^ Engine.backend_name backend))
+                  true
+                  (stats ~domains:1 backend = sa))
+              [ Engine.Persistent; Engine.Arena ])
         reduced_modes)
     (key_inputs ())
 
@@ -519,9 +529,9 @@ let test_decision_sets_agree () =
     (key_inputs ())
 
 (* The reduced arena walk reports its visited-table size once per
-   exploration, summed over workers: no more entries than configurations
-   visited (a revisit re-explored under a smaller sleep set adds none),
-   and at least one [W]-word key per entry, [W] = locations + processes. *)
+   exploration: no more entries than configurations visited (a revisit
+   re-explored under a smaller sleep set adds none), and at least one
+   [W]-word key per entry, [W] = locations + processes. *)
 let test_visited_gauges () =
   let module Metrics = Lepower_obs.Metrics in
   let was_on = Metrics.is_enabled () in
@@ -559,6 +569,188 @@ let test_visited_gauges () =
                 (bytes >= 8. *. Float.of_int w *. entries))
             reduced_modes)
         (key_inputs ()))
+
+(* --- the naive arena walk, with and without leaf hooks --- *)
+
+(* Naive mode on both backends through each route a caller can take:
+   [Explore.explore] with no hook (the machine walk gets none),
+   [Explore.explore] with an [on_terminal] hook, and [check_all] (both
+   hooks) — with and without crash faults, on one domain and on three,
+   where the arena walk runs from every frontier item. *)
+let test_naive_routes () =
+  let instance = Protocols.Cas_election.instance ~k:5 ~n:4 in
+  let config = Protocols.Election.config instance in
+  let predicate = Protocols.Election.check_config instance in
+  List.iter
+    (fun (crash_faults, domains) ->
+      let msg what =
+        Printf.sprintf "crash_faults=%b domains=%d: %s" crash_faults domains
+          what
+      in
+      let options backend =
+        { (opts ~dedup:false ~por:false backend) with crash_faults; domains }
+      in
+      let routes backend =
+        let calls = Atomic.make 0 in
+        let plain = Explore.explore ~options:(options backend) config in
+        let hooked =
+          Explore.explore
+            ~options:
+              {
+                (options backend) with
+                on_terminal = Some (fun _ -> Atomic.incr calls);
+              }
+            config
+        in
+        match Explore.check_all ~options:(options backend) config predicate with
+        | Ok checked -> (plain, hooked, checked, Atomic.get calls)
+        | Error v -> Alcotest.failf "%s" (msg v.Explore.message)
+      in
+      let pp, ph, pc, pcalls = routes Engine.Persistent in
+      let ap, ah, ac, acalls = routes Engine.Arena in
+      Alcotest.(check bool) (msg "explore without a hook") true (pp = ap);
+      Alcotest.(check bool) (msg "explore with on_terminal") true (ph = ah);
+      Alcotest.(check bool) (msg "check_all") true (pc = ac);
+      Alcotest.(check bool) (msg "the routes agree") true (ap = ah && ah = ac);
+      Alcotest.(check int) (msg "hook calls") pcalls acalls;
+      Alcotest.(check int)
+        (msg "a hook call per terminal") ap.Explore.terminals acalls;
+      Alcotest.(check bool)
+        (msg "workers") true
+        (if domains = 1 then ap.Explore.domains_used = 1
+         else ap.Explore.domains_used > 1))
+    [ (false, 1); (false, 3); (true, 1); (true, 3) ]
+
+(* A deep fixture: process 1 re-reads a flag nobody sets (the lint spin
+   fixture's loop), so a branch runs as deep as the step bound lets it,
+   beside process 0, which decides at once wherever the schedule puts
+   its one move.  Move paths mix the two pids, so a walk that lost
+   recorded moves when its path grew would replay the wrong schedule. *)
+let deep_config () =
+  let spin = Lepower_check.Lint.spin_fixture () in
+  Engine.init
+    (Store.create spin.Lepower_check.Lint.bindings)
+    (Runtime.Program.(complete (return Value.Unit))
+    :: spin.Lepower_check.Lint.programs)
+
+(* The call perfbench makes, [Machine.walk_naive] with no hooks, fills
+   the same [walk_stats] as the walk with both leaf hooks, and both
+   leave the machine in its pre-walk state.  At every leaf the hook's
+   move path, replayed on the persistent engine, reaches the machine's
+   live state — on the deep fixture past 64 moves, where the path
+   first grows. *)
+let test_walk_naive_hooks () =
+  List.iter
+    (fun (name, config, max_steps) ->
+      let m = Machine.of_config config in
+      let fresh () =
+        {
+          Machine.w_configs = 0;
+          w_terminals = 0;
+          w_truncated = 0;
+          w_max_depth = 0;
+          w_choice_points = 0;
+        }
+      in
+      let pre_walk what =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s leaves the pre-walk state" name what)
+          true
+          (Engine.config_equal (Machine.config m) config)
+      in
+      let plain = fresh () and hooked = fresh () in
+      Machine.walk_naive ~crash_faults:true ~max_steps ~depth0:0 plain m;
+      pre_walk "the plain walk";
+      let leaves = ref 0 and deepest = ref 0 in
+      let hook path mc =
+        incr leaves;
+        deepest := max !deepest mc;
+        let replayed = ref config in
+        for i = 0 to mc - 1 do
+          let mv = path.(i) in
+          replayed :=
+            if mv >= 0 then Engine.step !replayed mv
+            else Engine.crash !replayed (-mv - 1)
+        done;
+        let vm = View.of_machine m and vp = View.of_config !replayed in
+        for pid = 0 to Machine.n_procs m - 1 do
+          Alcotest.check status
+            (Printf.sprintf "%s leaf %d: status of p%d" name !leaves pid)
+            (View.status vp pid) (View.status vm pid);
+          Alcotest.(check int)
+            (Printf.sprintf "%s leaf %d: steps of p%d" name !leaves pid)
+            (View.steps vp pid) (View.steps vm pid)
+        done;
+        Alcotest.(check (list (pair string value)))
+          (Printf.sprintf "%s leaf %d: store" name !leaves)
+          (View.state_bindings vp) (View.state_bindings vm)
+      in
+      Machine.walk_naive ~on_terminal:hook ~on_truncated:hook
+        ~crash_faults:true ~max_steps ~depth0:0 hooked m;
+      pre_walk "the hooked walk";
+      Alcotest.(check bool)
+        (name ^ ": same walk_stats with and without hooks")
+        true (plain = hooked);
+      Alcotest.(check int)
+        (name ^ ": a hook call per leaf")
+        (plain.Machine.w_terminals + plain.Machine.w_truncated)
+        !leaves;
+      Alcotest.(check bool)
+        (name ^ ": the walk went as deep as its moves")
+        true
+        (!deepest >= plain.Machine.w_max_depth))
+    [
+      ("cas k=4 n=3", Protocols.Election.config cas_instance, 60);
+      ("deep", deep_config (), 80);
+    ]
+
+(* Step bounds nothing may be sized by: a negative bound, 0 and
+   [max_int] on cas k=4 n=3 with crashes, and 80 on the deep fixture,
+   whose walks must grow their move paths.  Arena gives exactly the
+   persistent stats and [check_all] verdict, witness included, in naive
+   and dedup+por modes. *)
+let test_step_bounds () =
+  let verdict = function
+    | Ok stats -> Ok stats
+    | Error (v : Explore.violation) ->
+      Error
+        ( v.Explore.message,
+          v.Explore.decisions,
+          Fmt.str "%a" Runtime.Trace.pp v.Explore.trace )
+  in
+  let no_fault view =
+    if View.faults view = [] then Ok () else Error "a process faulted"
+  in
+  List.iter
+    (fun (name, config, max_steps) ->
+      List.iter
+        (fun (mode, dedup, por) ->
+          let options backend =
+            { (opts ~dedup ~por backend) with max_steps }
+          in
+          let run backend =
+            ( Explore.explore ~options:(options backend) config,
+              verdict
+                (Explore.check_all ~options:(options backend) config no_fault)
+            )
+          in
+          let sp, vp = run Engine.Persistent and sa, va = run Engine.Arena in
+          let msg what =
+            Printf.sprintf "%s max_steps=%d %s: %s" name max_steps mode what
+          in
+          Alcotest.(check bool) (msg "stats") true (sp = sa);
+          Alcotest.(check bool) (msg "check_all verdict") true (vp = va);
+          Alcotest.(check bool)
+            (msg "truncated iff the verdict fails")
+            (sp.Explore.truncated > 0)
+            (Result.is_error vp))
+        [ ("naive", false, false); ("dedup+por", true, true) ])
+    [
+      ("cas k=4 n=3", Protocols.Election.config cas_instance, -10);
+      ("cas k=4 n=3", Protocols.Election.config cas_instance, 0);
+      ("cas k=4 n=3", Protocols.Election.config cas_instance, max_int);
+      ("deep", deep_config (), 80);
+    ]
 
 (* Reduced arena runs whose sleep set outgrows one int (2n > 62) take
    the persistent walk; the stats must not notice.  No crash faults:
@@ -681,6 +873,9 @@ let () =
           Alcotest.test_case "forced fallback digest" `Quick
             test_fallback_digest;
           Alcotest.test_case "visited gauges" `Quick test_visited_gauges;
+          Alcotest.test_case "naive routes" `Quick test_naive_routes;
+          Alcotest.test_case "walk_naive hooks" `Quick test_walk_naive_hooks;
+          Alcotest.test_case "step bounds" `Quick test_step_bounds;
         ] );
       ( "op-classification",
         [

@@ -210,8 +210,8 @@ let test_decision_set_digests () =
 
 (* --- the trace-order soundness guard --- *)
 
-let guard_opts ?(analyze = None) ~dedup backend =
-  { Explore.Options.default with max_steps = 60; dedup; backend; analyze }
+let guard_opts ~dedup backend =
+  { Explore.Options.default with max_steps = 60; dedup; backend }
 
 let test_guard_trips_on_order_access () =
   let config = Election.config cas_instance in
@@ -260,20 +260,6 @@ let test_guard_ignores_order_free_predicates () =
   | exception Explore.Unsound_predicate m ->
     Alcotest.failf "guard fired on an order-free predicate: %s" m
 
-let test_guard_sees_analyze_hook () =
-  (* the analyze hook shares the predicate's view, so its order
-     accesses are caught too *)
-  let config = Election.config cas_instance in
-  let analyze = Some (fun view -> ignore (View.last_event view)) in
-  match
-    Explore.check_all
-      ~options:(guard_opts ~analyze ~dedup:true Engine.Persistent)
-      config
-      (fun _ -> Ok ())
-  with
-  | exception Explore.Unsound_predicate _ -> ()
-  | _ -> Alcotest.fail "dedup + order-accessing analyze hook must raise"
-
 let () =
   Alcotest.run "view"
     [
@@ -294,7 +280,5 @@ let () =
             test_guard_trips_on_order_access;
           Alcotest.test_case "order-free predicates pass" `Quick
             test_guard_ignores_order_free_predicates;
-          Alcotest.test_case "analyze hook shares the view" `Quick
-            test_guard_sees_analyze_hook;
         ] );
     ]
