@@ -78,77 +78,107 @@ let check_history ?label ~k ~loc history =
     label;
   List.rev !findings
 
-(* Families whose value timeline the lint certifies. *)
-type family = Cas of int | Swap | Sticky
+(* What [finish] certifies on one location's value timeline. *)
+type cert =
+  | Sigma_history of int  (* a legal Σ-history of a cas(k) *)
+  | Sticky_once  (* a sticky register changes value at most once *)
+  | Declared of int
+      (* at most k distinct values: a declared bound on an object type
+         without an intrinsic alphabet, such as swap *)
 
-let family_of type_name =
-  match cas_size type_name with
-  | Some k -> Some (Cas k)
-  | None ->
-    if String.equal type_name "swap" then Some Swap
-    else if String.equal type_name "sticky" then Some Sticky
-    else None
+module Smap = Map.Make (String)
 
-let check ?(bounds = []) ~store trace =
-  let findings = ref [] in
+type ctx = {
+  store : Memory.Store.t;
+  certs : (string * cert) list;  (* certified locations, sorted *)
+}
+
+let prepare ?(bounds = []) store =
+  let cert loc =
+    let type_name =
+      match Memory.Store.spec_of store loc with
+      | Some s -> s.Memory.Spec.type_name
+      | None -> ""
+    in
+    match (cas_size type_name, List.assoc_opt loc bounds) with
+    | Some k, declared ->
+      Some (loc, Sigma_history (Option.value ~default:k declared))
+    | None, _ when String.equal type_name "sticky" -> Some (loc, Sticky_once)
+    | None, Some k -> Some (loc, Declared k)
+    | None, None -> None
+  in
+  { store; certs = List.filter_map cert (Memory.Store.locs store) }
+
+(* The replay so far: the specs' store, each location's value timeline
+   (newest first, consecutive repeats collapsed; its head is always the
+   location's replayed state) and the replay divergences found. *)
+type state = {
+  replay : Memory.Store.t;
+  timelines : Value.t list Smap.t;
+  divergences : Finding.t list;
+}
+
+(* [loc] is bound: [init] started its timeline. *)
+let note_state timelines loc state =
+  match Smap.find loc timelines with
+  | last :: _ when Value.equal last state -> timelines
+  | prev -> Smap.add loc (state :: prev) timelines
+
+let init ctx =
+  {
+    replay = ctx.store;
+    timelines =
+      Memory.Store.fold_states
+        (fun loc state acc -> Smap.add loc [ state ] acc)
+        ctx.store Smap.empty;
+    divergences = [];
+  }
+
+(* Replay one event through the sequential specs: every recorded response
+   must be reproducible.  This is the strongest per-location op/response
+   cross-check we can run — specs are deterministic, so a genuine engine
+   trace replays exactly. *)
+let step _ctx st (e : Trace.event) =
+  match Memory.Store.apply st.replay ~pid:e.Trace.pid e.Trace.loc e.Trace.op with
+  | Error msg ->
+    {
+      st with
+      divergences =
+        Finding.v ~rule:"replay-divergence" ~loc:e.Trace.loc
+          "t=%d p%d op %s rejected on replay: %s" e.Trace.time e.Trace.pid
+          (Value.to_string e.Trace.op) msg
+        :: st.divergences;
+    }
+  | Ok (replay, result) ->
+    let divergences =
+      if Value.equal result e.Trace.result then st.divergences
+      else
+        Finding.v ~rule:"replay-divergence" ~loc:e.Trace.loc
+          "t=%d p%d op %s returned %s but replays to %s" e.Trace.time
+          e.Trace.pid
+          (Value.to_string e.Trace.op)
+          (Value.to_string e.Trace.result)
+          (Value.to_string result)
+        :: st.divergences
+    in
+    let timelines =
+      match Memory.Store.peek replay e.Trace.loc with
+      | Some state -> note_state st.timelines e.Trace.loc state
+      | None -> st.timelines
+    in
+    { replay; timelines; divergences }
+
+(* Certify each bounded location's value timeline. *)
+let finish ctx st =
+  let findings = ref st.divergences in
   let add f = findings := f :: !findings in
-  (* Replay the whole trace through the sequential specs: every recorded
-     response must be reproducible.  This is the strongest per-location
-     op/response cross-check we can run — specs are deterministic, so a
-     genuine engine trace replays exactly. *)
-  let timelines : (string, Value.t list) Hashtbl.t = Hashtbl.create 16 in
-  let note_state loc state =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt timelines loc) in
-    match prev with
-    | last :: _ when Value.equal last state -> ()
-    | _ -> Hashtbl.replace timelines loc (state :: prev)
-  in
   List.iter
-    (fun loc ->
-      Option.iter (note_state loc) (Memory.Store.peek store loc))
-    (Memory.Store.locs store);
-  let final =
-    List.fold_left
-      (fun st (e : Trace.event) ->
-        match
-          Memory.Store.apply st ~pid:e.Trace.pid e.Trace.loc e.Trace.op
-        with
-        | Error msg ->
-          add
-            (Finding.v ~rule:"replay-divergence" ~loc:e.Trace.loc
-               "t=%d p%d op %s rejected on replay: %s" e.Trace.time e.Trace.pid
-               (Value.to_string e.Trace.op) msg);
-          st
-        | Ok (st', result) ->
-          if not (Value.equal result e.Trace.result) then
-            add
-              (Finding.v ~rule:"replay-divergence" ~loc:e.Trace.loc
-                 "t=%d p%d op %s returned %s but replays to %s" e.Trace.time
-                 e.Trace.pid
-                 (Value.to_string e.Trace.op)
-                 (Value.to_string e.Trace.result)
-                 (Value.to_string result));
-          Option.iter (note_state e.Trace.loc) (Memory.Store.peek st' e.Trace.loc);
-          st')
-      store trace
-  in
-  ignore final;
-  (* Certify each bounded location's value timeline. *)
-  List.iter
-    (fun loc ->
-      let family =
-        match Memory.Store.spec_of store loc with
-        | None -> None
-        | Some s -> family_of s.Memory.Spec.type_name
-      in
-      let declared = List.assoc_opt loc bounds in
+    (fun (loc, cert) ->
       let timeline =
-        List.rev (Option.value ~default:[] (Hashtbl.find_opt timelines loc))
+        List.rev (Option.value ~default:[] (Smap.find_opt loc st.timelines))
       in
-      let changes = List.length timeline - 1 in
-      match family, declared with
-      | Some (Cas k), _ ->
-        let k = Option.value ~default:k declared in
+      match cert with
+      | Sigma_history k ->
         let history =
           List.filter_map
             (fun v ->
@@ -162,21 +192,22 @@ let check ?(bounds = []) ~store trace =
             timeline
         in
         List.iter add (check_history ~k ~loc history)
-      | Some Sticky, _ ->
+      | Sticky_once ->
+        let changes = List.length timeline - 1 in
         if changes > 1 then
           add
             (Finding.v ~rule:"sticky-discipline" ~loc
                "sticky register changed value %d times (⊥ may freeze once)"
                changes)
-      | Some Swap, Some k | None, Some k ->
-        (* No intrinsic alphabet: certify against the declared bound. *)
-        let distinct =
-          List.length (List.sort_uniq Value.compare timeline)
-        in
+      | Declared k ->
+        let distinct = List.length (List.sort_uniq Value.compare timeline) in
         if distinct > k then
           add
             (Finding.v ~rule:"bounded-value" ~loc
-               "%d distinct values observed; declared bound is %d" distinct k)
-      | Some Swap, None | None, None -> ())
-    (Memory.Store.locs store);
-  Finding.dedup (List.rev !findings)
+               "%d distinct values observed; declared bound is %d" distinct k))
+    ctx.certs;
+  Finding.dedup !findings
+
+let check ?bounds ~store trace =
+  let ctx = prepare ?bounds store in
+  finish ctx (List.fold_left (step ctx) (init ctx) trace)

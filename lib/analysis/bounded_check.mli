@@ -11,7 +11,9 @@
     - {!check} replays a {!Runtime.Trace.t} through the store's
       sequential specs, reconstructs each bounded location's value
       timeline, and lints it ([replay-divergence] when the trace is not
-      even reproducible by the specs, then the history rules below);
+      even reproducible by the specs, then the history rules below).
+      It is the fold of the step form below: {!prepare} once per store,
+      {!step} per event, {!finish} at the end;
     - {!check_history} lints one already-reconstructed Σ-history — the
       entry point the emulation run path uses on each label's history,
       next to {!Core.Invariants}.
@@ -33,7 +35,38 @@ val check :
     in [bounds] override (or, for object types without an intrinsic
     alphabet such as [swap], declare) the bound for a location — that is
     how a lint declares "this register was supposed to be a cas(k)" and
-    catches a location fed [k+1] values. *)
+    catches a location fed [k+1] values.  Equal to
+    [finish ctx (List.fold_left (step ctx) (init ctx) trace)] with
+    [ctx = prepare ?bounds store]. *)
+
+(** {1 Step form}
+
+    The same check one event at a time, for callers that analyze many
+    traces sharing prefixes (exhaustive lint steps each edge of its DFS
+    tree once and finishes each leaf).  A {!state} is immutable: a
+    caller may keep the state after every event of a trace and resume
+    from any of them. *)
+
+type ctx
+(** Prepared once per pre-run store and bounds: the store, and each
+    certified location with what {!finish} certifies on it (the Σ-history
+    rules of a [cas(k)], the sticky rule, or a declared bound). *)
+
+val prepare : ?bounds:(string * int) list -> Memory.Store.t -> ctx
+
+type state
+(** The replay so far: the specs' store, each location's value timeline
+    and the [replay-divergence] findings. *)
+
+val init : ctx -> state
+(** Before the first event. *)
+
+val step : ctx -> state -> Runtime.Trace.event -> state
+(** Replay one event. *)
+
+val finish : ctx -> state -> Finding.t list
+(** Certify every location's timeline; the findings of the whole trace,
+    deduplicated and sorted. *)
 
 val check_history :
   ?label:Core.Label.t ->

@@ -38,8 +38,141 @@ let default_seeds = 64
 
 let m_targets = Lepower_obs.Metrics.counter "lint.targets"
 let m_schedules = Lepower_obs.Metrics.counter "lint.schedules_analyzed"
+let m_events = Lepower_obs.Metrics.counter "lint.events_analyzed"
 let m_findings = Lepower_obs.Metrics.counter "lint.findings"
 let ph_check = Lepower_prof.Phase.make "lint.check"
+
+(* --- trace analysis ------------------------------------------------------ *)
+
+module Soundness = Lepower_static.Soundness
+
+(* The per-trace analyzers of one target, prepared once: the bounded-value
+   lint, the trace discipline checker and, given a complete summary, the
+   static soundness cross-check. *)
+type checker = {
+  bounded : Bounded_check.ctx;
+  discipline : Trace_check.ctx;
+  soundness : Soundness.ctx option;
+  subject_name : string;
+}
+
+let checker ?summary t =
+  let store = Memory.Store.create t.bindings in
+  {
+    bounded = Bounded_check.prepare ~bounds:t.bounds store;
+    discipline = Trace_check.prepare ~single_writer:t.single_writer store;
+    soundness =
+      (match summary with
+      | Some (s : Lepower_static.Summary.t)
+        when s.Lepower_static.Summary.complete ->
+        Some (Soundness.prepare ~store s)
+      | Some _ | None -> None);
+    subject_name = t.name;
+  }
+
+(* The analyzers' states after one trace prefix. *)
+type analysis = {
+  bounded_st : Bounded_check.state;
+  discipline_st : Trace_check.state;
+  soundness_st : Soundness.state option;
+}
+
+let start c =
+  {
+    bounded_st = Bounded_check.init c.bounded;
+    discipline_st = Trace_check.init c.discipline;
+    soundness_st = Option.map Soundness.init c.soundness;
+  }
+
+let step c a e =
+  {
+    bounded_st = Bounded_check.step c.bounded a.bounded_st e;
+    discipline_st = Trace_check.step c.discipline a.discipline_st e;
+    soundness_st =
+      (match (c.soundness, a.soundness_st) with
+      | Some ctx, Some st -> Some (Soundness.step ctx st e)
+      | _ -> None);
+  }
+
+let finish c a =
+  Bounded_check.finish c.bounded a.bounded_st
+  @ Trace_check.finish c.discipline a.discipline_st
+  @
+  match (c.soundness, a.soundness_st) with
+  | Some ctx, Some st ->
+    List.map
+      (Static_check.soundness_finding ~name:c.subject_name)
+      (Soundness.finish ctx st)
+  | _ -> []
+
+let failing t =
+  let c = checker t in
+  let fold init step finish ctx trace =
+    finish ctx (List.fold_left (step ctx) (init ctx) trace)
+  in
+  fun view ->
+    let trace = Engine.Config_view.trace view in
+    match
+      List.find_opt Finding.is_reportable
+        (fold Bounded_check.init Bounded_check.step Bounded_check.finish
+           c.bounded trace
+        @ fold Trace_check.init Trace_check.step Trace_check.finish
+            c.discipline trace)
+    with
+    | Some f -> Some (Printf.sprintf "%s: %s" f.Finding.rule f.Finding.detail)
+    | None ->
+      if Engine.Config_view.max_steps_per_proc view > t.budget then
+        Some (Printf.sprintf "per-process step budget %d exceeded" t.budget)
+      else None
+
+(* The analyzer states along the last analyzed trace: [states.(i)] follows
+   [events.(0 .. i)], for [i < depth].  A trace that starts with the same
+   event records ([==]) resumes from the state after them.  The key is
+   sound whatever produced the trace, because a state is a function of
+   the event sequence alone: equal prefixes give equal states, and a
+   physically equal event is an equal one.  The persistent explorer
+   shares the event records of a common schedule prefix between sibling
+   configurations, so over an exhaustive walk each DFS edge is stepped
+   once; any other trace just misses and is stepped in full. *)
+type analyzer = {
+  check : checker;
+  root : analysis;
+  mutable events : Runtime.Trace.event array;
+  mutable states : analysis array;
+  mutable depth : int;
+}
+
+let analyzer ?summary t =
+  let check = checker ?summary t in
+  { check; root = start check; events = [||]; states = [||]; depth = 0 }
+
+let analyze a trace =
+  let rec shared i = function
+    | e :: rest when i < a.depth && e == a.events.(i) -> shared (i + 1) rest
+    | rest -> (i, rest)
+  in
+  let kept, rest = shared 0 trace in
+  let depth = ref kept in
+  let st = ref (if kept = 0 then a.root else a.states.(kept - 1)) in
+  List.iter
+    (fun e ->
+      st := step a.check !st e;
+      let i = !depth in
+      if i = Array.length a.events then begin
+        let cap = max 16 (2 * i) in
+        let events = Array.make cap e and states = Array.make cap !st in
+        Array.blit a.events 0 events 0 i;
+        Array.blit a.states 0 states 0 i;
+        a.events <- events;
+        a.states <- states
+      end;
+      a.events.(i) <- e;
+      a.states.(i) <- !st;
+      depth := i + 1)
+    rest;
+  a.depth <- !depth;
+  Lepower_obs.Metrics.incr m_events ~by:(!depth - kept);
+  finish a.check !st
 
 let lint ?(mode = Auto) ?(static = Static_off) ?static_options
     ?register_budget ?rules ?max_nodes ?max_steps ?(shrink = false) ?on_repro
@@ -89,18 +222,34 @@ let lint ?(mode = Auto) ?(static = Static_off) ?static_options
     let s = View.max_steps_per_proc view in
     if s > !max_proc_steps then max_proc_steps := s
   in
+  let exhaustive =
+    match mode with
+    | Exhaustive -> true
+    | Sample _ -> false
+    | Auto -> exhaustive_feasible t
+  in
+  (* Soundness cross-check: every analyzed execution must stay inside the
+     effect summary (locations in footprints, states in Σ̂) — a violation
+     is an abstract-interpreter bug, not a protocol bug.  Runs that
+     record certificates are judged by the dynamic rules alone, as their
+     replays are. *)
+  let summary =
+    match (static, static_analysis) with
+    | Static_and_dynamic, Some a when exhaustive || on_repro = None ->
+      Some a.Static_check.summary
+    | _ -> None
+  in
   (* The trace lints are inherently global-order checks, so the hook
      materializes the trace through the view.  Lint's exhaustive path
-     runs the plain explorer with no dedup/POR (the lints need every
-     interleaving's order anyway), so this is sound — and the reason
-     lint hooks must never be combined with the reductions. *)
+     runs the plain persistent explorer with no dedup/POR (the lints need
+     every interleaving's order anyway), so this is sound — and the
+     reason lint hooks must never be combined with the reductions.  Its
+     terminals share the event records of their common schedule prefix,
+     so the analyzer steps each DFS edge once (see [analyzer]). *)
+  let analyzer = analyzer ?summary t in
   let findings_of view =
     let tok = Lepower_prof.Phase.enter ph_check in
-    let trace = View.trace view in
-    let fs =
-      Bounded_check.check ~bounds:t.bounds ~store trace
-      @ Trace_check.check ~single_writer:t.single_writer ~store trace
-    in
+    let fs = analyze analyzer (View.trace view) in
     Lepower_prof.Phase.leave tok;
     fs
   in
@@ -111,32 +260,8 @@ let lint ?(mode = Auto) ?(static = Static_off) ?static_options
     findings := fs @ !findings;
     match progress with Some f -> f !schedules | None -> ()
   in
-  (* Soundness cross-check: every analyzed execution must stay inside the
-     effect summary (locations in footprints, states in Σ̂) — a violation
-     is an abstract-interpreter bug, not a protocol bug. *)
-  let soundness_of view =
-    match (static, static_analysis) with
-    | Static_and_dynamic, Some a ->
-      Static_check.soundness_findings ~name:t.name ~store
-        a.Static_check.summary (View.trace view)
-    | _ -> []
-  in
-  let analyze view = note (findings_of view @ soundness_of view) view in
-  let exhaustive =
-    match mode with
-    | Exhaustive -> true
-    | Sample _ -> false
-    | Auto -> exhaustive_feasible t
-  in
+  let analyze view = note (findings_of view) view in
   let config () = Engine.init store t.programs in
-  (* What makes one execution a failure — the same predicate drives both
-     per-seed certificate recording and shrink-candidate validation.
-     [hit_step_limit] is not recoverable from a replayed configuration,
-     but a truncated run's process stepped past the budget, which is. *)
-  let failing_config view =
-    List.exists Finding.is_reportable (findings_of view)
-    || View.max_steps_per_proc view > t.budget
-  in
   (if not dynamic then ()
    else if exhaustive then begin
      let max_steps =
@@ -200,8 +325,13 @@ let lint ?(mode = Auto) ?(static = Static_off) ?static_options
            let cert = Runtime.Repro.with_message cert message in
            let cert, stats =
              if shrink then
+               (* [hit_step_limit] is not recoverable from a replayed
+                  configuration, but a truncated run's process stepped
+                  past the budget, which [failing] sees. *)
+               let fails = failing t in
                let cert, stats =
-                 Runtime.Repro.shrink ~failing:failing_config
+                 Runtime.Repro.shrink
+                   ~failing:(fun view -> fails view <> None)
                    ~config0:(config ()) cert
                in
                (cert, Some stats)
@@ -525,22 +655,9 @@ let fuzz_target ?runs ?seed ?max_steps ?plan ?kind ?shrink ?progress
   let max_steps =
     Option.value ~default:((t.budget * max n 1 * 2) + 1000) max_steps
   in
-  (* The same failure predicate [Repro_subject.of_target] builds — kept
-     textually close to [failing_config] above so the certificate a fuzz
-     campaign emits fails under exactly the predicate replay re-checks. *)
-  let failing view =
-    let trace = Engine.Config_view.trace view in
-    let findings =
-      Bounded_check.check ~bounds:t.bounds ~store trace
-      @ Trace_check.check ~single_writer:t.single_writer ~store trace
-    in
-    match List.find_opt Finding.is_reportable findings with
-    | Some f -> Some (Printf.sprintf "%s: %s" f.Finding.rule f.Finding.detail)
-    | None ->
-      if Engine.Config_view.max_steps_per_proc view > t.budget then
-        Some (Printf.sprintf "per-process step budget %d exceeded" t.budget)
-      else None
-  in
+  (* [Repro_subject.of_target] resolves the same predicate, so the
+     certificate a fuzz campaign emits fails under exactly the predicate
+     replay re-checks. *)
   Runtime.Fuzz.campaign ?runs ?seed ~max_steps ?plan ?kind ?shrink ?progress
-    ~subject:t.subject ~failing (fun () ->
+    ~subject:t.subject ~failing:(failing t) (fun () ->
       Engine.init store t.programs)

@@ -7,7 +7,11 @@
 
     - obtains executions (exhaustively when the instance is small enough,
       otherwise over sampled seeded schedules),
-    - feeds every analyzed trace to {!Trace_check} and {!Bounded_check},
+    - feeds every analyzed trace to {!Trace_check} and {!Bounded_check}
+      through one {!analyzer}, which resumes from the analyzer state of
+      the prefix the trace shares with the previous one: exhaustive lint
+      costs one analyzer step per DFS edge of the walk, not one per
+      event of every schedule,
     - runs the symbolic {!Waitfree_check} audit and {e corroborates} it
       against the executions actually observed: a symbolic [Exceeded]
       becomes an error only when some execution also truncated or
@@ -106,6 +110,44 @@ val lint_instance :
   Protocols.Election.instance ->
   Report.t
 
+(** {1 Trace analysis}
+
+    The per-trace rules of a target — {!Bounded_check}, {!Trace_check}
+    and, under a complete static summary, the [static-soundness]
+    cross-check — prepared once per target and run in their step form. *)
+
+val failing : target -> Runtime.Engine.Config_view.t -> string option
+(** The target's failure predicate: [Some "rule: detail"] for the first
+    reportable {!Bounded_check} or {!Trace_check} finding of the view's
+    trace (in that order), else [Some] when a process exceeded the
+    target's step budget, else [None].  Partial application prepares the
+    analyzers once; the result keeps no state between calls.  Sampled
+    lint shrinks with it, {!fuzz_target} fuzzes with it, and
+    [Repro_subject.of_target] replays with it, so a certificate fails
+    under the predicate that recorded it. *)
+
+type analyzer
+(** A target's analyzers plus the analyzer state after every event of
+    the last trace analyzed. *)
+
+val analyzer : ?summary:Lepower_static.Summary.t -> target -> analyzer
+(** [summary] adds the soundness cross-check when it is complete. *)
+
+val analyze : analyzer -> Runtime.Trace.t -> Finding.t list
+(** The trace's findings: equal to
+    [Bounded_check.check ~bounds ~store trace @ Trace_check.check
+    ~single_writer ~store trace], followed by the summary's
+    [static-soundness] findings.  Only the events past the longest prefix
+    whose records are physically equal ([==]) to the last trace's are
+    stepped, from the state the analyzer kept after that prefix; their
+    number is added to the [lint.events_analyzed] counter.  Physical
+    identity is a sound key whatever produced the trace: the state after
+    a prefix depends on its events alone.  Exhaustive lint's persistent
+    walk shares the event records of a common schedule prefix, so it
+    pays one step per DFS edge rather than one per event of every
+    schedule; a trace from anywhere else misses and is stepped in full.
+    Not reentrant: one analyzer per sequential caller. *)
+
 (** {1 Seeded-bug fixtures}
 
     Each fixture plants one intended defect and must trigger exactly its
@@ -153,10 +195,9 @@ val fuzz_target :
   Runtime.Fuzz.outcome
 (** Fuzz a target with {!Runtime.Fuzz.campaign}: each run starts from a
     fresh configuration of the target's bindings and programs; a final
-    configuration fails when it has a reportable {!Trace_check} or
-    {!Bounded_check} finding or a process exceeded the target's step
-    budget (the same predicate [Repro_subject.of_target] resolves, so
-    the emitted certificate — carrying the target's [subject] — replays
-    through [lepower replay]).  Defaults follow
+    configuration fails under {!failing} (the predicate
+    [Repro_subject.of_target] resolves, so the emitted certificate —
+    carrying the target's [subject] — replays through [lepower
+    replay]).  Defaults follow
     {!Runtime.Fuzz.campaign}; [max_steps] defaults to the same
     per-execution cap sampled lint uses. *)

@@ -34,25 +34,10 @@ let fixture ?n ?(flip = false) name =
 (* Resolution.                                                         *)
 
 let of_target (t : Lint.target) =
-  let store = Memory.Store.create t.Lint.bindings in
-  let failing view =
-    let trace = Engine.Config_view.trace view in
-    let findings =
-      Bounded_check.check ~bounds:t.Lint.bounds ~store trace
-      @ Trace_check.check ~single_writer:t.Lint.single_writer ~store trace
-    in
-    match List.find_opt Finding.is_reportable findings with
-    | Some f -> Some (Printf.sprintf "%s: %s" f.Finding.rule f.Finding.detail)
-    | None ->
-      if Engine.Config_view.max_steps_per_proc view > t.Lint.budget then
-        Some
-          (Printf.sprintf "per-process step budget %d exceeded" t.Lint.budget)
-      else None
-  in
   {
     name = t.Lint.name;
-    config = Engine.init store t.Lint.programs;
-    failing;
+    config = Engine.init (Memory.Store.create t.Lint.bindings) t.Lint.programs;
+    failing = Lint.failing t;
   }
 
 let election_instance ~protocol ~k ~n =

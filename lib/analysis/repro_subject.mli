@@ -55,9 +55,8 @@ val fixture : ?n:int -> ?flip:bool -> string -> Lepower_obs.Json.t
 
 val of_target : Lint.target -> resolved
 (** Resolve a lint target directly (no JSON round-trip): initial
-    configuration from its bindings and programs; failure = any
-    reportable {!Trace_check}/{!Bounded_check} finding or a per-process
-    budget overrun. *)
+    configuration from its bindings and programs; failure =
+    {!Lint.failing}. *)
 
 val resolve : Lepower_obs.Json.t -> (resolved, string) result
 (** Interpret a certificate subject.  Errors name the missing or unknown

@@ -2,7 +2,6 @@ module Summary = Lepower_static.Summary
 module Absint = Lepower_static.Absint
 module Kbound = Lepower_static.Kbound
 module Accountant = Lepower_static.Accountant
-module Soundness = Lepower_static.Soundness
 module Sset = Summary.Sset
 
 type analysis = {
@@ -123,14 +122,9 @@ let findings ?register_budget ~name ~budget ~single_writer ~bindings a =
          ~loc:name "%a" Accountant.pp acct));
   List.rev !fs
 
-let soundness_findings ~name ~store summary trace =
-  if not summary.Summary.complete then []
-  else
-    List.map
-      (fun violation ->
-        Finding.v ~rule:"static-soundness" ~loc:name
-          "execution escaped the effect summary: %s" violation)
-      (Soundness.check ~store summary trace)
+let soundness_finding ~name violation =
+  Finding.v ~rule:"static-soundness" ~loc:name
+    "execution escaped the effect summary: %s" violation
 
 let counterpart = function
   | "swmr-discipline" -> Some "static-swmr"

@@ -23,7 +23,7 @@
       bindings), an [Error] when [register_budget] is given and the
       protocol's footprint exceeds it.
 
-    Soundness violations ({!soundness_findings}) use rule
+    Soundness violations ({!soundness_finding}) use rule
     [static-soundness] at [Error]: an execution escaping its summary
     means the abstract interpreter itself is wrong. *)
 
@@ -56,15 +56,10 @@ val findings :
     scope the [static-swmr] rule exactly as {!Trace_check.check}'s
     dynamic counterpart. *)
 
-val soundness_findings :
-  name:string ->
-  store:Memory.Store.t ->
-  Lepower_static.Summary.t ->
-  Runtime.Trace.t ->
-  Finding.t list
-(** {!Lepower_static.Soundness.check} as findings — empty unless the
-    summary is complete (an incomplete summary promises nothing, so
-    nothing is checked). *)
+val soundness_finding : name:string -> string -> Finding.t
+(** One {!Lepower_static.Soundness} violation as a [static-soundness]
+    finding anchored at [name].  Only a complete summary promises
+    anything, so callers cross-check only those ([Lint] does). *)
 
 val counterpart : string -> string option
 (** [counterpart dynamic_rule] — the static rule subsuming a dynamic

@@ -5,9 +5,17 @@ let copy = Array.copy
 let get t pid = if pid < Array.length t then t.(pid) else 0
 
 let tick t pid =
-  let t = Array.copy t in
-  t.(pid) <- t.(pid) + 1;
-  t
+  let n = Array.length t in
+  let t' =
+    if pid < n then Array.copy t
+    else begin
+      let grown = Array.make (pid + 1) 0 in
+      Array.blit t 0 grown 0 n;
+      grown
+    end
+  in
+  t'.(pid) <- t'.(pid) + 1;
+  t'
 
 let join a b =
   let n = max (Array.length a) (Array.length b) in

@@ -5,7 +5,11 @@
     clock of the write a read observes.  Two events are {e concurrent}
     (racing) when neither clock dominates the other — the happens-before
     relation induced by program order plus reads-from edges, which is
-    finer than the accidental linearization order the schedule produced. *)
+    finer than the accidental linearization order the schedule produced.
+
+    A component past a clock's length reads as 0, so clocks of different
+    sizes compare and join as if padded with zeros; {!tick} grows a
+    clock to cover its pid. *)
 
 type t
 
@@ -16,7 +20,8 @@ val copy : t -> t
 val get : t -> int -> int
 
 val tick : t -> int -> t
-(** Advance one component (persistent: returns a new clock). *)
+(** Advance one component (persistent: returns a new clock, grown to
+    at least [pid + 1] components). *)
 
 val join : t -> t -> t
 (** Componentwise maximum. *)

@@ -21,4 +21,27 @@ val check :
     [trace] oldest-first (as {!Runtime.Engine.trace} returns).  Returns
     human-readable violations, [[]] when the execution is inside the
     summary.  Only meaningful when the summary is {!Summary.t.complete}
-    — callers gate on it. *)
+    — callers gate on it.  Equal to
+    [finish ctx (List.fold_left (step ctx) (init ctx) trace)] with
+    [ctx = prepare ~store summary]. *)
+
+(** {1 Step form}
+
+    The same check one event at a time, so that exhaustive lint can
+    step each edge of its DFS tree once.  A {!state} is immutable. *)
+
+type ctx
+(** Prepared once per pre-run store and summary (each process's
+    footprint and may-write set). *)
+
+val prepare : store:Memory.Store.t -> Summary.t -> ctx
+
+type state
+(** The replayed store, the locations whose replay diverged, and the
+    violations so far. *)
+
+val init : ctx -> state
+val step : ctx -> state -> Runtime.Trace.event -> state
+
+val finish : ctx -> state -> string list
+(** The violations of the whole trace, oldest first. *)

@@ -1,7 +1,8 @@
 (* Tests for the Lepower_check analysis pass: the shared op codec, the
    trace discipline checker, the bounded-value lint, the wait-freedom
    audit, the lint driver over clean protocols and seeded-bug fixtures,
-   and the JSONL report format. *)
+   the JSONL report format, and the analyzer's reuse of a shared trace
+   prefix. *)
 
 module Value = Memory.Value
 module Trace = Runtime.Trace
@@ -307,6 +308,394 @@ let test_report_jsonl () =
     | _ -> Alcotest.fail "expected a trailing lint-summary record")
   | [] -> Alcotest.fail "empty JSONL stream"
 
+(* --- prefix reuse: [Lint.analyze] against the one-shot checks --- *)
+
+module Explore = Runtime.Explore
+module View = Runtime.Engine.Config_view
+module Static_check = Lepower_check.Static_check
+module Soundness = Lepower_static.Soundness
+module Summary = Lepower_static.Summary
+module Metrics = Lepower_obs.Metrics
+
+let pp_findings = Fmt.(list ~sep:sp Finding.pp)
+
+(* What [Lint.analyze] must return for [trace]: the two dynamic checks,
+   each one pass over the whole trace, then the summary's soundness
+   violations. *)
+let one_shot ?summary (t : Lint.target) trace =
+  let store = Memory.Store.create t.Lint.bindings in
+  Bounded_check.check ~bounds:t.Lint.bounds ~store trace
+  @ Trace_check.check ~single_writer:t.Lint.single_writer ~store trace
+  @
+  match summary with
+  | Some (s : Summary.t) when s.Summary.complete ->
+    List.map
+      (Static_check.soundness_finding ~name:t.Lint.name)
+      (Soundness.check ~store s trace)
+  | Some _ | None -> []
+
+let same_findings msg expected got =
+  if not (List.equal Finding.equal expected got) then
+    Alcotest.failf "%s: expected [%a] but the analyzer gave [%a]" msg
+      pp_findings expected pp_findings got
+
+let summary_of (t : Lint.target) =
+  let options =
+    {
+      Lepower_static.Absint.default_options with
+      Lepower_static.Absint.depth_cap =
+        max Lepower_static.Absint.default_options
+              .Lepower_static.Absint.depth_cap (2 * t.Lint.budget);
+    }
+  in
+  (Static_check.analyze ~options ~bounds:t.Lint.bounds
+     ~bindings:t.Lint.bindings t.Lint.programs)
+    .Static_check.summary
+
+(* [f ()] and the [lint.events_analyzed] count it made, metrics on. *)
+let counting_events f =
+  Metrics.reset ();
+  Metrics.enable ();
+  let r = f () in
+  let events = Metrics.value (Metrics.counter "lint.events_analyzed") in
+  Metrics.disable ();
+  Metrics.reset ();
+  (r, events)
+
+(* Walk [t] exhaustively as lint does and hand every leaf (terminal or
+   truncated) to one analyzer; each must match the one-shot findings.
+   Returns the leaves and the leaves with findings. *)
+let walk_differential ?summary (t : Lint.target) =
+  let a = Lint.analyzer ?summary t in
+  let leaves = ref 0 and flagged = ref 0 and faulted = ref false in
+  let leaf view =
+    if View.faults view <> [] then faulted := true;
+    let trace = View.trace view in
+    let expected = one_shot ?summary t trace in
+    incr leaves;
+    if expected <> [] then incr flagged;
+    same_findings
+      (Printf.sprintf "%s leaf %d" t.Lint.name !leaves)
+      expected (Lint.analyze a trace)
+  in
+  let n = List.length t.Lint.programs in
+  let stats, stepped =
+    counting_events (fun () ->
+        Explore.explore
+          ~options:
+            {
+              Explore.Options.default with
+              max_steps = (t.Lint.budget * max n 1 * 2) + 8;
+              on_terminal = Some leaf;
+              on_truncated = Some leaf;
+            }
+          (Runtime.Engine.init
+             (Memory.Store.create t.Lint.bindings)
+             t.Lint.programs))
+  in
+  Alcotest.(check int)
+    (t.Lint.name ^ " every leaf analyzed")
+    (stats.Explore.terminals + stats.Explore.truncated)
+    !leaves;
+  (* Each DFS edge is stepped once: one event per visited configuration
+     past the root, except where a rejected operation faulted its process
+     without recording an event. *)
+  if !faulted then
+    Alcotest.(check bool)
+      (t.Lint.name ^ " at most one step per edge")
+      true
+      (stepped < stats.Explore.configs_visited)
+  else
+    Alcotest.(check int)
+      (t.Lint.name ^ " one step per edge")
+      (stats.Explore.configs_visited - 1)
+      stepped;
+  (!leaves, !flagged)
+
+(* A register protocol whose reads join vector clocks: splitter renaming,
+   with every register claimed single-writer so that the swmr rule sees
+   both ordered and concurrent writer pairs. *)
+let splitter_target n =
+  let i = Protocols.Splitter.renaming ~n in
+  {
+    Lint.name = "splitter-renaming";
+    bindings = i.Protocols.Splitter.bindings;
+    programs = List.init n i.Protocols.Splitter.program;
+    budget = i.Protocols.Splitter.step_bound;
+    single_writer = List.map fst i.Protocols.Splitter.bindings;
+    bounds = [];
+    subject = Lepower_obs.Json.Null;
+  }
+
+let walk_targets () =
+  let cas ~k ~n =
+    Lint.target_of_instance (Protocols.Cas_election.instance ~k ~n)
+  in
+  [
+    (Lint.broken_swmr_fixture (), true);
+    (Lint.broken_swmr_fixture ~flip:true (), true);
+    (Lint.broken_cas_fixture ~n:3 (), true);
+    (Lint.broken_cas_fixture ~n:4 (), true);
+    (Lint.broken_cas_fixture ~n:5 (), false);
+    (Lint.broken_cas_fixture ~n:6 (), false);
+    (Lint.broken_cas_fixture ~n:7 (), false);
+    (Lint.broken_cas_fixture ~n:4 ~flip:true (), true);
+    (Lint.broken_cas_fixture ~n:5 ~flip:true (), false);
+    (Lint.spin_fixture (), true);
+    (cas ~k:5 ~n:4, true);
+    (Lint.target_of_instance (Protocols.Bcl_election.instance ~k:4 ~n:3), true);
+    (splitter_target 2, true);
+  ]
+
+let test_reuse_walks () =
+  let flagged_total = ref 0 and complete = ref 0 in
+  List.iter
+    (fun ((t : Lint.target), static) ->
+      let leaves, flagged = walk_differential t in
+      Alcotest.(check bool) (t.Lint.name ^ " has leaves") true (leaves > 0);
+      flagged_total := !flagged_total + flagged;
+      if static then begin
+        let summary = summary_of t in
+        if summary.Summary.complete then incr complete;
+        ignore (walk_differential ~summary t)
+      end)
+    (walk_targets ());
+  (* The walks must exercise findings and the soundness cross-check, or
+     agreeing on them shows nothing. *)
+  Alcotest.(check bool) "some leaves have findings" true (!flagged_total > 0);
+  Alcotest.(check bool) "some summaries are complete" true (!complete > 0)
+
+(* Hand-built traces, each firing one rule (or one form of it). *)
+let read_r ~time ~pid v = event ~time ~pid ~loc:"r" ~op:Op_codec.read_op ~result:v
+
+let write_r ~time ~pid v =
+  event ~time ~pid ~loc:"r" ~op:(Op_codec.write_op v) ~result:Value.unit
+
+let cas_c ~time ~pid ~expected ~desired ~result =
+  event ~time ~pid ~loc:"C" ~op:(Op_codec.cas_op ~expected ~desired) ~result
+
+let hand_target ?(single_writer = []) ?(bounds = []) bindings =
+  {
+    Lint.name = "hand-built";
+    bindings;
+    programs =
+      List.init 2 (fun _ -> Runtime.Program.(complete (return Value.unit)));
+    budget = 4;
+    single_writer;
+    bounds;
+    subject = Lepower_obs.Json.Null;
+  }
+
+(* A "sticky" register that (wrongly) takes every write. *)
+let leaky_sticky =
+  Memory.Spec.make ~type_name:"sticky" ~init:Objects.Sticky.bottom
+    ~apply:(fun ~pid:_ state op ->
+      match Op_codec.classify op with
+      | Op_codec.Sticky_write v -> Ok (v, v)
+      | _ -> Ok (state, state))
+
+let rule_cases () =
+  let bot = Objects.Cas_k.bottom and i = Value.int in
+  let mwmr = [ ("r", Objects.Register.mwmr ~init:(i 0) ()) ] in
+  let cas4 = [ ("C", Objects.Cas_k.spec ~k:4) ] in
+  [
+    ( "replay-divergence (rejected)",
+      hand_target cas4,
+      [
+        cas_c ~time:0 ~pid:0 ~expected:bot ~desired:(i 0) ~result:bot;
+        event ~time:1 ~pid:1 ~loc:"C" ~op:(Op_codec.swap_op (i 1))
+          ~result:(i 0);
+      ] );
+    ( "replay-divergence (result)",
+      hand_target cas4,
+      [
+        cas_c ~time:0 ~pid:0 ~expected:bot ~desired:(i 0) ~result:bot;
+        cas_c ~time:1 ~pid:1 ~expected:(i 1) ~desired:(i 2) ~result:(i 1);
+      ] );
+    ( "sigma-history (not from ⊥)",
+      hand_target
+        [
+          ( "C",
+            Objects.Cas_k.generic_spec ~values:[ bot; i 0; i 1 ] ~init:(i 0) );
+        ],
+      [
+        cas_c ~time:0 ~pid:0 ~expected:(i 0) ~desired:(i 1) ~result:(i 0);
+        cas_c ~time:1 ~pid:1 ~expected:(i 1) ~desired:bot ~result:(i 1);
+      ] );
+    ( "sigma-history (outside Σ)",
+      hand_target
+        [
+          ( "C",
+            Objects.Cas_k.generic_spec
+              ~values:[ bot; Value.sym "x"; i 0 ]
+              ~init:bot );
+        ],
+      [
+        cas_c ~time:0 ~pid:0 ~expected:bot ~desired:(Value.sym "x")
+          ~result:bot;
+        cas_c ~time:1 ~pid:1 ~expected:(Value.sym "x") ~desired:(i 0)
+          ~result:(Value.sym "x");
+      ] );
+    ( "bounded-value (cas)",
+      hand_target ~bounds:[ ("C", 3) ] cas4,
+      [
+        cas_c ~time:0 ~pid:0 ~expected:bot ~desired:(i 0) ~result:bot;
+        cas_c ~time:1 ~pid:1 ~expected:(i 0) ~desired:(i 1) ~result:(i 0);
+        cas_c ~time:2 ~pid:0 ~expected:(i 1) ~desired:(i 2) ~result:(i 1);
+      ] );
+    ( "bounded-value (declared)",
+      hand_target ~bounds:[ ("W", 2) ]
+        [ ("W", Objects.Swap_reg.spec ~init:(i 0) ()) ],
+      List.init 3 (fun t ->
+          event ~time:t ~pid:(t mod 2) ~loc:"W"
+            ~op:(Op_codec.swap_op (i (t + 1)))
+            ~result:(i t)) );
+    ( "sticky-discipline",
+      hand_target [ ("K", leaky_sticky) ],
+      [
+        event ~time:0 ~pid:0 ~loc:"K"
+          ~op:(Op_codec.sticky_write_op (i 1))
+          ~result:(i 1);
+        event ~time:1 ~pid:1 ~loc:"K"
+          ~op:(Op_codec.sticky_write_op (i 2))
+          ~result:(i 2);
+      ] );
+    ( "reads-from (stale)",
+      hand_target mwmr,
+      [ write_r ~time:0 ~pid:0 (i 1); read_r ~time:1 ~pid:1 (i 99) ] );
+    ( "reads-from (before any write)",
+      hand_target mwmr,
+      [ read_r ~time:0 ~pid:0 (i 0); read_r ~time:1 ~pid:1 (i 5) ] );
+    ( "op-type (two families)",
+      hand_target mwmr,
+      [
+        write_r ~time:0 ~pid:0 (i 1);
+        event ~time:1 ~pid:1 ~loc:"r" ~op:(Op_codec.swap_op (i 2))
+          ~result:(i 1);
+      ] );
+    ( "op-type (spec type)",
+      hand_target mwmr,
+      [
+        read_r ~time:0 ~pid:0 (i 0);
+        event ~time:1 ~pid:1 ~loc:"r"
+          ~op:(Op_codec.cas_op ~expected:(i 0) ~desired:(i 1))
+          ~result:(i 0);
+      ] );
+    ( "op-type (write response)",
+      hand_target mwmr,
+      [
+        read_r ~time:0 ~pid:0 (i 0);
+        event ~time:1 ~pid:1 ~loc:"r" ~op:(Op_codec.write_op (i 1))
+          ~result:(i 0);
+      ] );
+    ( "swmr-discipline (concurrent)",
+      hand_target ~single_writer:[ "r" ] mwmr,
+      [ write_r ~time:0 ~pid:0 (i 1); write_r ~time:1 ~pid:1 (i 2) ] );
+    ( "swmr-discipline (ordered)",
+      hand_target ~single_writer:[ "r" ] mwmr,
+      [
+        write_r ~time:0 ~pid:0 (i 1);
+        read_r ~time:1 ~pid:1 (i 1);
+        write_r ~time:2 ~pid:1 (i 2);
+      ] );
+  ]
+
+(* The rule each case is named after (its text up to " ("). *)
+let case_rule name =
+  match String.index_opt name ' ' with
+  | Some j -> String.sub name 0 j
+  | None -> name
+
+(* An event on an unbound location, with findings of its own. *)
+let detour =
+  event ~time:0 ~pid:0 ~loc:"nowhere" ~op:Op_codec.read_op ~result:Value.unit
+
+(* Structurally equal, physically new. *)
+let fresh (e : Trace.event) =
+  {
+    Trace.time = e.Trace.time;
+    pid = e.Trace.pid;
+    loc = e.Trace.loc;
+    op = e.Trace.op;
+    result = e.Trace.result;
+  }
+
+(* Feed [traces] to one analyzer, in order; each call must give the
+   one-shot findings of its trace. *)
+let feed msg t traces =
+  let a = Lint.analyzer t in
+  List.iteri
+    (fun j trace ->
+      same_findings
+        (Printf.sprintf "%s, trace %d" msg j)
+        (one_shot t trace) (Lint.analyze a trace))
+    traces
+
+let test_reuse_rules () =
+  List.iter
+    (fun (name, t, trace) ->
+      Alcotest.(check bool)
+        (name ^ " fires its rule") true
+        (List.exists
+           (fun (f : Finding.t) -> f.Finding.rule = case_rule name)
+           (one_shot t trace));
+      let last = List.length trace - 1 in
+      let tail = List.tl trace in
+      let all_but_last = List.filteri (fun j _ -> j < last) trace in
+      let mid = List.length trace / 2 in
+      let copied = List.mapi (fun j e -> if j = mid then fresh e else e) trace in
+      Alcotest.(check bool) "a fresh copy" false
+        (List.nth copied mid == List.nth trace mid);
+      (* The second trace diverges at the first event and is shorter; the
+         third resumes from it and shares the rest with the first, which
+         only an analyzer that forgot the first trace's tail gets right. *)
+      feed (name ^ ", diverging at the first event") t
+        [ trace; [ detour ]; detour :: tail; trace ];
+      feed (name ^ ", diverging at the last event") t
+        [ trace; all_but_last @ [ detour ]; trace; all_but_last @ [ detour ] ];
+      feed (name ^ ", sharing an equal copy") t [ trace; copied; trace ])
+    (rule_cases ())
+
+let test_reuse_edges () =
+  let mwmr = [ ("r", Objects.Register.mwmr ~init:(Value.int 0) ()) ] in
+  (* Unbound locations get the rules' defaults, declared single-writer
+     included. *)
+  let t = hand_target ~single_writer:[ "ghost" ] mwmr in
+  let ghost pid v =
+    event ~time:pid ~pid ~loc:"ghost" ~op:(Op_codec.write_op v)
+      ~result:Value.unit
+  in
+  let unbound = [ ghost 0 (Value.int 1); ghost 1 (Value.int 2) ] in
+  check_rules "unbound location" [ "replay-divergence"; "swmr-discipline" ]
+    (one_shot t unbound);
+  feed "unbound location" t [ unbound; [ List.hd unbound ]; unbound ];
+  (* The first trace steps pids 0 and 1; later ones bring pids 5 and 7,
+     whose clocks the analyzer must grow, and whose reads join earlier
+     writes. *)
+  let t = hand_target ~single_writer:[ "r" ] mwmr in
+  let w0 = write_r ~time:0 ~pid:0 (Value.int 1) in
+  let r1 = read_r ~time:1 ~pid:1 (Value.int 1) in
+  feed "higher pid later" t
+    [
+      [ w0; r1 ];
+      [ w0; r1; write_r ~time:2 ~pid:5 (Value.int 3) ];
+      [ w0; read_r ~time:1 ~pid:5 (Value.int 1); write_r ~time:2 ~pid:5 (Value.int 4) ];
+      [ w0; write_r ~time:1 ~pid:7 (Value.int 2); read_r ~time:2 ~pid:1 (Value.int 2) ];
+    ]
+
+(* The counter shows what the reuse saves: cas k=5 n=4 has 24 schedules of
+   4 events (96 event checks one-shot) over 4 + 12 + 24 + 24 = 64 edges. *)
+let test_events_counter () =
+  let r, events =
+    counting_events (fun () ->
+        Lint.lint_instance ~mode:Lint.Exhaustive
+          (Protocols.Cas_election.instance ~k:5 ~n:4))
+  in
+  (match r.Report.stats with
+  | Some s -> Alcotest.(check int) "schedules" 24 s.Report.schedules
+  | None -> Alcotest.fail "expected run stats");
+  Alcotest.(check int) "events analyzed" 64 events
+
 let () =
   Alcotest.run "analysis"
     [
@@ -348,4 +737,11 @@ let () =
         ] );
       ( "report",
         [ Alcotest.test_case "jsonl round trip" `Quick test_report_jsonl ] );
+      ( "prefix-reuse",
+        [
+          Alcotest.test_case "real walks" `Quick test_reuse_walks;
+          Alcotest.test_case "every rule" `Quick test_reuse_rules;
+          Alcotest.test_case "edge cases" `Quick test_reuse_edges;
+          Alcotest.test_case "events counter" `Quick test_events_counter;
+        ] );
     ]
