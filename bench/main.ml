@@ -1358,15 +1358,16 @@ let e16_static ~smoke () =
 
 (* ------------------------------------------------------------------ *)
 (* E17+E18: hot-path engine — the arena backend (compiled step          *)
-(* programs, mutable arena store with O(1) snapshot/undo, incremental  *)
-(* fingerprints) against the persistent reference engine, with the     *)
+(* programs, mutable arena store with O(1) snapshot/undo, an int-key   *)
+(* visited table) against the persistent reference engine, with the   *)
 (* cross-backend agreement checks that make the speedup trustworthy:   *)
 (* identical verdicts and full statistics per mode, and byte-identical *)
 (* decision sets.  Fuzz campaigns and replay run on the persistent     *)
 (* engine only, so they have no cross-backend row.  E18 adds the       *)
 (* reduced modes: the dedup / por / dedup+por rows dispatch to the     *)
-(* journal-free bitset walk on the machine, timed with the same        *)
-(* best-of-3 methodology as the naive legs.  Gates (exit 1): any       *)
+(* journal-free bitset walk on the machine.  Every timed pair runs its *)
+(* persistent and arena legs in alternation, best of 5 per side, so a  *)
+(* drift in the host's speed lands on both sides.  Gates (exit 1): any *)
 (* agreement failure; a checked naive-walk speedup below 1x (smoke) /  *)
 (* 2x (full); in full mode additionally a plain naive-walk speedup     *)
 (* below 5x and a dedup+por speedup below 1.5x (E18's acceptance bar — *)
@@ -1466,89 +1467,63 @@ let e17_store ~smoke () =
     (secs, stats)
   in
   (* Throughput legs, metrics disabled around every timing run
-     (equally) so they compare the walk, not the counter feed; best of
-     3 damps noise on this 1-core host.  [plain] is E12's raw
-     enumeration with no terminal predicate — the 5x gate.  [checked]
-     is the same naive walk with the election predicate on every
-     terminal: the predicate reads statuses, decisions and step counts
-     through Engine.Config_view, zero-copy on the arena backend, so
-     checking no longer materializes a persistent configuration per
+     (equally) so they compare the walk, not the counter feed.
+     [time_pair] alternates a pair's persistent and arena legs, best of
+     5 per side, and keeps each side's stats for the agreement checks
+     below; a leg that reports a violation aborts the bench.  [plain]
+     is E12's raw enumeration with no terminal predicate — the 5x gate.
+     [checked] is the same naive walk with the election predicate on
+     every terminal: the predicate reads statuses, decisions and step
+     counts through Engine.Config_view, zero-copy on the arena backend,
+     so checking no longer materializes a persistent configuration per
      terminal and the arena's advantage survives the checker.  The
      checked gate below (1x smoke / 2x full) pins exactly that — before
      the view API this leg ran at 0.62x. *)
   let config = Protocols.Election.config instance in
   let metrics_were_on = Lepower_obs.Metrics.is_enabled () in
   Lepower_obs.Metrics.disable ();
-  let time_plain backend =
-    let best = ref infinity and stats = ref None in
-    for _ = 1 to 3 do
-      let s, secs =
-        wall (fun () ->
-            Runtime.Explore.explore
-              ~options:
-                { (opts ~dedup:false ~por:false backend) with max_steps = 10_000 }
-              config)
-      in
-      stats := Some s;
-      if secs < !best then best := secs
+  let time_pair leg run =
+    let best = [| infinity; infinity |] and stats = [| None; None |] in
+    for _ = 1 to 5 do
+      List.iteri
+        (fun i backend ->
+          let r, secs = wall (fun () -> run backend) in
+          (match r with
+          | Ok s -> stats.(i) <- Some s
+          | Error e ->
+            Printf.eprintf "%s timing leg violated: %s\n" leg e;
+            exit 1);
+          if secs < best.(i) then best.(i) <- secs)
+        e17_backends
     done;
-    (!best, !stats)
+    ((best.(0), stats.(0)), (best.(1), stats.(1)))
   in
-  let plain_p, plain_stats_p = time_plain Runtime.Engine.Persistent in
-  let plain_a, plain_stats_a = time_plain Runtime.Engine.Arena in
-  let time_checked backend =
-    let best = ref infinity and stats = ref None in
-    for _ = 1 to 3 do
-      let r, secs =
-        wall (fun () ->
-            Protocols.Election.explore_stats instance ~max_steps:10_000
-              ~options:(opts ~dedup:false ~por:false backend))
-      in
-      (match r with
-      | Ok s -> stats := Some s
-      | Error e ->
-        Printf.eprintf "E17: checked timing leg violated: %s\n" e;
-        exit 1);
-      if secs < !best then best := secs
-    done;
-    (!best, !stats)
+  let (plain_p, plain_stats_p), (plain_a, plain_stats_a) =
+    time_pair "E17: plain" (fun backend ->
+        Ok
+          (Runtime.Explore.explore
+             ~options:
+               { (opts ~dedup:false ~por:false backend) with max_steps = 10_000 }
+             config))
   in
-  let checked_p, checked_stats_p = time_checked Runtime.Engine.Persistent in
-  let checked_a, checked_stats_a = time_checked Runtime.Engine.Arena in
+  let checked ~dedup ~por backend =
+    Protocols.Election.explore_stats instance ~max_steps:10_000
+      ~options:(opts ~dedup ~por backend)
+  in
+  let (checked_p, checked_stats_p), (checked_a, checked_stats_a) =
+    time_pair "E17: checked" (checked ~dedup:false ~por:false)
+  in
   (* E18: the reduced legs.  Same checked workload with the explorer
      reductions on — on the arena backend these dispatch to the
      journal-free bitset walk, on the persistent backend to the
      reference explore_seq.  Stats are kept so the byte-identity of the
      reduced search trees is re-asserted on the timed full workload, not
      only on the mode-grid rows above. *)
-  let time_reduced ~dedup ~por backend =
-    let best = ref infinity and stats = ref None in
-    for _ = 1 to 3 do
-      let r, secs =
-        wall (fun () ->
-            Protocols.Election.explore_stats instance ~max_steps:10_000
-              ~options:(opts ~dedup ~por backend))
-      in
-      (match r with
-      | Ok s -> stats := Some s
-      | Error e ->
-        Printf.eprintf "E18: reduced timing leg violated: %s\n" e;
-        exit 1);
-      if secs < !best then best := secs
-    done;
-    (!best, !stats)
+  let (dedup_p, dedup_stats_p), (dedup_a, dedup_stats_a) =
+    time_pair "E18: dedup" (checked ~dedup:true ~por:false)
   in
-  let dedup_p, dedup_stats_p =
-    time_reduced ~dedup:true ~por:false Runtime.Engine.Persistent
-  in
-  let dedup_a, dedup_stats_a =
-    time_reduced ~dedup:true ~por:false Runtime.Engine.Arena
-  in
-  let red_p, red_stats_p =
-    time_reduced ~dedup:true ~por:true Runtime.Engine.Persistent
-  in
-  let red_a, red_stats_a =
-    time_reduced ~dedup:true ~por:true Runtime.Engine.Arena
+  let (red_p, red_stats_p), (red_a, red_stats_a) =
+    time_pair "E18: dedup+por" (checked ~dedup:true ~por:true)
   in
   if metrics_were_on then Lepower_obs.Metrics.enable ();
   let plain_rows =

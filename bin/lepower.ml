@@ -325,10 +325,11 @@ let backend_arg =
            faster; verdicts, statistics and decision sets are \
            identical).  Composes with --dedup/--por/--static-por: the \
            reduced walk runs journal-free on the machine's flat arrays, \
-           on one worker, with incrementally-maintained fingerprints \
-           (see DESIGN.md $(i,§7)); an instance with more than 31 \
-           processes runs the reduced walk on the persistent engine \
-           instead, because its sleep sets outgrow one machine word.  \
+           on one worker, with a visited-table key updated from each \
+           step's delta (see DESIGN.md $(i,§7)); an instance with more \
+           than 31 processes runs the reduced walk on the persistent \
+           engine instead, because its sleep sets outgrow one machine \
+           word.  \
            Programs whose compiled form outgrows the node budget \
            transparently fall back to closure interpretation.  Fuzz and \
            replay always run on the persistent engine: they move forward \
@@ -348,9 +349,9 @@ let explore_dedup =
           "Memoize visited configurations (canonical fingerprint over store \
            + per-process state) and prune revisits.  Sound here: the \
            election predicate is trace-order-insensitive.  Under --backend \
-           arena the fingerprint is maintained incrementally from each \
-           step's delta and the visited table stores each configuration \
-           as a fixed-width key of interned int ids.")
+           arena the visited table stores each configuration as a \
+           fixed-width key of interned int ids, updated from each step's \
+           delta and hashed when the table is probed.")
 
 let explore_por =
   Arg.(

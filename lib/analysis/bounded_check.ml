@@ -50,9 +50,10 @@ let check_history ?label ~k ~loc history =
              "value %d escapes the Σ alphabet {⊥, 0, …, %d}" i (k - 2))
       | Sigma.V _ | Sigma.Bot -> ())
     non_bottom;
-  (* First uses, in order of appearance, must form a legal label — and
-     when the caller knows which label this history belongs to (the
-     emulation does), they must follow exactly that label's order. *)
+  (* First uses, in order of appearance and without repeats, always
+     form a legal label; when the caller knows which label this history
+     belongs to (the emulation does), they must follow exactly that
+     label's order. *)
   let first_uses =
     List.fold_left
       (fun acc s ->
@@ -62,12 +63,6 @@ let check_history ?label ~k ~loc history =
       [] history
     |> List.rev
   in
-  (try ignore (List.fold_left Label.extend Label.root first_uses)
-   with Invalid_argument _ ->
-     add
-       (Finding.v ~rule:"label-order" ~loc
-          "first uses %s do not form a legal label"
-          (Label.to_string first_uses)));
   Option.iter
     (fun l ->
       if not (Label.is_prefix first_uses l) then

@@ -21,9 +21,12 @@
     Rules: [bounded-value] (more than [k−1] distinct non-⊥ values, or a
     symbol escaping the alphabet), [sigma-history] (not starting at ⊥,
     consecutive repetition, non-Σ state), [label-order] (first uses
-    not forming — or not following — a legal label), [sticky-discipline]
-    (a sticky register changing value more than once) and
-    [replay-divergence]. *)
+    not following the label given to {!check_history}),
+    [sticky-discipline] (a sticky register changing value more than
+    once) and [replay-divergence].  [label-order] comes only from the
+    labelled form of {!check_history}, which {!Emulation_check} uses:
+    the first uses of any history always form a legal label, so an
+    unlabelled check has no order to break. *)
 
 val check :
   ?bounds:(string * int) list ->
@@ -76,4 +79,5 @@ val check_history :
   Finding.t list
 (** Lint one Σ-history (oldest first, starting at ⊥).  When [label] is
     given, the history's first uses must additionally follow that label's
-    order (the emulation's Definition 1 obligation). *)
+    order (the emulation's Definition 1 obligation); this is the only
+    source of [label-order] findings. *)

@@ -118,8 +118,3 @@ let audit_programs ?max_nodes ~store ~budget progs =
      states.  The verdicts of the second pass are the report. *)
   ignore (run ());
   run ()
-
-let audit_instance ?max_nodes (t : Protocols.Election.instance) =
-  let store = Memory.Store.create t.Protocols.Election.bindings in
-  audit_programs ?max_nodes ~store ~budget:t.Protocols.Election.step_bound
-    (List.init t.Protocols.Election.n t.Protocols.Election.program)

@@ -73,8 +73,3 @@ val audit_programs :
 (** Audit each program (pid in list order) against one shared pooled
     responder, in two passes so every program's second-pass audit sees
     states first-pass audits of {e all} programs produced. *)
-
-val audit_instance :
-  ?max_nodes:int -> Protocols.Election.instance -> (int * verdict) list
-(** {!audit_programs} over an election instance's programs, with the
-    instance's [step_bound] as the budget. *)

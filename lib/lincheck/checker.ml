@@ -80,28 +80,3 @@ let is_linearizable ~spec history =
   match check ~spec history with
   | Linearizable _ -> true
   | Not_linearizable -> false
-
-let check_view ~spec ~history_loc view =
-  check ~spec (History.of_view view history_loc)
-
-let is_linearizable_view ~spec ~history_loc view =
-  match check_view ~spec ~history_loc view with
-  | Linearizable _ -> true
-  | Not_linearizable -> false
-
-let check_run ~spec ~history_loc ?subject ?seed ?max_steps ~sched config =
-  let outcome, cert =
-    Runtime.Repro.record ?subject ?seed ?max_steps ~sched config
-  in
-  let final_view =
-    Runtime.Engine.Config_view.of_config outcome.Runtime.Engine.final
-  in
-  let history = History.of_view final_view history_loc in
-  match check ~spec history with
-  | Linearizable order -> Ok order
-  | Not_linearizable ->
-    Error
-      (Runtime.Repro.with_message cert
-         (Printf.sprintf
-            "history at %S is not linearizable against spec %s" history_loc
-            spec.Memory.Spec.type_name))

@@ -27,38 +27,3 @@ val check : spec:Memory.Spec.t -> History.t -> result
     response must equal the recorded [result]. *)
 
 val is_linearizable : spec:Memory.Spec.t -> History.t -> bool
-
-val check_view :
-  spec:Memory.Spec.t ->
-  history_loc:string ->
-  Runtime.Engine.Config_view.t ->
-  result
-(** {!check} on the history recorded at [history_loc], read through a
-    backend-neutral view ({!History.of_view}): the checker-predicate
-    form, usable directly inside {!Runtime.Explore.check_all} /
-    {!Runtime.Fuzz.campaign} predicates with no per-terminal store
-    materialization on the arena backend. *)
-
-val is_linearizable_view :
-  spec:Memory.Spec.t ->
-  history_loc:string ->
-  Runtime.Engine.Config_view.t ->
-  bool
-(** Boolean form of {!check_view}. *)
-
-val check_run :
-  spec:Memory.Spec.t ->
-  history_loc:string ->
-  ?subject:Lepower_obs.Json.t ->
-  ?seed:int ->
-  ?max_steps:int ->
-  sched:Runtime.Sched.t ->
-  Runtime.Engine.config ->
-  (History.operation list, Runtime.Repro.t) Stdlib.result
-(** Run the configuration to completion under the scheduler while
-    recording a {!Runtime.Repro} schedule certificate, parse the
-    history the {!History.recorder_spec} at [history_loc] accumulated,
-    and check it.  [Ok] is the witness linearization; a non-linearizable
-    history returns the certificate (with [subject]/[seed] attached and
-    a message naming the location and spec) — the schedule that produced
-    the violation, replayable bit-for-bit. *)

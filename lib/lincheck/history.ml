@@ -72,9 +72,6 @@ let of_events loc events =
 
 let of_store store loc = of_events loc (Memory.Store.peek store loc)
 
-let of_view view loc =
-  of_events loc (Runtime.Engine.Config_view.store_state view loc)
-
 let pp ppf t =
   let pp_op ppf o =
     Fmt.pf ppf "p%d %a -> %a [%d,%d]" o.pid Value.pp o.op Value.pp o.result

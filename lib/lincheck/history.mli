@@ -37,18 +37,10 @@ val bracket :
 (** [bracket loc op body] = invoke; body; respond (with body's result). *)
 
 val of_store : Memory.Store.t -> string -> t
-(** Parse the recorder's state into a history (see {!of_view}).  Operations whose response
+(** Parse the recorder's state into a history.  Operations whose response
     marker is missing (the process crashed mid-operation) are dropped —
     the checker treats incomplete operations as never having happened,
     which is sound for the properties we test (we never check histories
     where a crashed operation's effect was observed). *)
-
-val of_view : Runtime.Engine.Config_view.t -> string -> t
-(** {!of_store} through a backend-neutral
-    {!Runtime.Engine.Config_view.t}: reads the recorder's state with
-    {!Runtime.Engine.Config_view.store_state} — a single O(1) binding
-    read on the arena backend, no store materialization.  This is the
-    form explorer/fuzzer predicates should use.  Same parsing and
-    crash-drop semantics as {!of_store}. *)
 
 val pp : Format.formatter -> t -> unit

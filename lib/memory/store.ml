@@ -121,7 +121,6 @@ module Arena = struct
     { specs = !specs; states = !states; keys = Array.copy a.names }
 
   let n_locs a = Array.length a.names
-  let loc_name a i = a.names.(i)
   let mem a loc = Hashtbl.mem a.index loc
   let state_at a i = a.states.(i)
 
@@ -193,7 +192,4 @@ module Arena = struct
       acc := (a.names.(i), a.states.(i)) :: !acc
     done;
     !acc
-
-  let iter_states f a =
-    Array.iteri (fun i name -> f name a.states.(i)) a.names
 end

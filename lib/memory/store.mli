@@ -85,9 +85,7 @@ module Arena : sig
       [s]; after mutations it reflects the arena's current state. *)
 
   val n_locs : t -> int
-
-  val loc_name : t -> int -> string
-  (** The location interned as id [i]; ids are [0 .. n_locs - 1] in
+  (** Number of locations; their interned ids are [0 .. n_locs - 1] in
       sorted-location order. *)
 
   val mem : t -> string -> bool
@@ -141,13 +139,12 @@ module Arena : sig
       to the persistent [state_bindings] of {!to_store}, built by one
       pass over the preallocated arrays (no sort, no map walk). *)
 
-  val iter_states : (string -> Value.t -> unit) -> t -> unit
-
   val last_id : t -> int
   (** Interned id of the location the most recent successful {!apply}
       touched ([-1] before the first).  With {!last_old_state} and
-      {!state_at}, callers maintaining incremental digests read the
-      single-binding delta of a step without re-deriving it. *)
+      {!state_at}, a caller reads the single-binding delta of a step
+      without re-deriving it: the reduced arena walk updates its
+      visited-table key from it. *)
 
   val last_old_state : t -> Value.t
   (** The overwritten state of that location, as it was {e before} the

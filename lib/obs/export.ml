@@ -17,21 +17,6 @@ let chrome_of_events ?(extra = []) events =
     :: ("displayTimeUnit", Json.String "ms")
     :: extra)
 
-let chrome_of_spans spans = chrome_of_events (List.map span_to_chrome spans)
-
-let span_to_json (s : Span.completed) =
-  Json.Obj
-    [
-      ("type", Json.String "span");
-      ("name", Json.String s.Span.name);
-      ("ts_us", Json.Float s.Span.start_us);
-      ("dur_us", Json.Float s.Span.dur_us);
-      ("tid", Json.Int s.Span.tid);
-      ("args", Json.Obj s.Span.args);
-    ]
-
-let jsonl_of_spans spans = List.map span_to_json spans
-
 let metrics_json ?(meta = []) () =
   match Metrics.snapshot_to_json (Metrics.snapshot ()) with
   | Json.Obj fields ->

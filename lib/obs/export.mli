@@ -14,14 +14,6 @@ val chrome_of_events : ?extra:(string * Json.t) list -> Json.t list -> Json.t
 (** Wrap pre-rendered trace events as a Chrome trace document; [extra]
     fields are appended to the top-level object (e.g. metadata). *)
 
-val chrome_of_spans : Span.completed list -> Json.t
-
-val span_to_json : Span.completed -> Json.t
-(** JSONL form: [{"type":"span","name":...,"ts_us":...,"dur_us":...,
-    "tid":...,"args":{...}}]. *)
-
-val jsonl_of_spans : Span.completed list -> Json.t list
-
 val metrics_json : ?meta:(string * Json.t) list -> unit -> Json.t
 (** A snapshot of the global metrics registry as one JSON object:
     [{"meta":{...},"counters":{...},"gauges":{...},"histograms":{...}}]. *)

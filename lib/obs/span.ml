@@ -58,9 +58,6 @@ let with_span ?(tid = 0) ?(args = []) name f =
       raise e
   end
 
-let instant ?(tid = 0) ?(args = []) name =
-  if !on then emit { name; start_us = now_us (); dur_us = 0.; tid; args }
-
 let completed () =
   List.sort
     (fun a b -> Float.compare a.start_us b.start_us)

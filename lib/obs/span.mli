@@ -42,9 +42,6 @@ val with_span :
 (** Time the thunk.  The span is recorded even if the thunk raises.
     When disabled this is just [f ()]. *)
 
-val instant : ?tid:int -> ?args:(string * Json.t) list -> string -> unit
-(** A zero-duration marker event. *)
-
 val completed : unit -> completed list
 (** The buffered spans so far, sorted by start time (the buffer is kept;
     use {!reset} to drop it).  Empty while a custom sink is installed. *)

@@ -826,7 +826,7 @@ module Machine = struct
 
      The reduced explorer (dedup / sleep-set POR) cannot hand the whole
      enumeration to [walk_naive]: it interleaves its own bookkeeping
-     (fingerprint sums, sleep bitsets, visited table) between moves.
+     (visited-table key, sleep bitsets, visited table) between moves.
      A [frame] packages exactly one move's undo data in the caller's
      stack frame instead of the journal: [step_frame] replicates the
      memoized fast path of [walk_naive] (direct array writes, gentle

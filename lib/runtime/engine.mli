@@ -216,10 +216,11 @@ module Machine : sig
       entry, no allocation — and records the exact inverse in the
       frame; a first visit or non-memoizable step falls back to the
       journaled step with the frame holding only the journal mark.
-      The [frame_*] accessors expose the step's single-binding store
-      delta uniformly across both paths, so callers can maintain
-      incremental {!Fingerprint} sums.  Frames are reusable; undo them
-      in strict LIFO order. *)
+      The [frame_*] accessors expose the step's event and its
+      single-binding store delta uniformly across both paths, so the
+      walk can update its visited-table key and extend the stepping
+      process's history.  Frames are reusable; undo them in strict
+      LIFO order. *)
 
   type frame
   (** Mutable undo record for one step.  Reusable across moves at the
@@ -250,7 +251,7 @@ module Machine : sig
 
   val frame_loc_id : t -> frame -> int
   (** The same location as its interned arena slot id — lets callers
-      index per-location precomputed data (e.g. fingerprint seeds)
+      index per-slot data (e.g. the visited-table key's state words)
       without re-interning the name. *)
 
   val frame_op : t -> frame -> Memory.Value.t
@@ -282,8 +283,8 @@ module Machine : sig
       {!Fingerprint.equal} makes on the sorted binding list.  Process
       histories are not included.  The explorer's visited table does
       not store snapshots: it keeps each configuration as a fixed-width
-      key of interned int ids, maintained beside the incremental
-      fingerprint sums.  Snapshots remain for callers that want to
+      key of interned int ids, updated from each step's frame delta.
+      Snapshots remain for callers that want to
       capture and re-compare a machine state, such as layer
       benchmarks. *)
 

@@ -248,9 +248,10 @@ end)
    exactly the distinctions [Fingerprint.equal] makes — the arena
    layout is fixed within an exploration, so slot [i] always names the
    same location, and each id stands for one class of the equality
-   [Fingerprint.equal] applies to that component — and the hash is
-   [Fingerprint.combine] of the incremental sums, so hit/miss decisions,
-   and with them every stat, are the reference walk's.
+   [Fingerprint.equal] applies to that component.  A hit is decided by
+   comparing whole keys, so hit/miss decisions, and with them every
+   stat, are the reference walk's whatever the hash ({!key_hash}); the
+   hash only places an entry in the index.
 
    Neither the key store nor the index holds a pointer.  Keys sit in
    fixed-size int-array chunks that are never doubled and copied, each
@@ -350,6 +351,19 @@ let proc_word t (status : Proc.status) hid =
   | Proc.Crashed -> base lor code_crashed
   | Proc.Decided v -> base lor payload (value_id t v) lor code_decided
   | Proc.Faulty msg -> base lor payload (fault_id t msg) lor code_faulty
+
+(* One multiply-xor pass over the key's words, then a finalizer.  The
+   index takes its home slot and tag from the low 32 bits, and those
+   bits of the pass depend only on the low 32 bits of each word, so
+   the finalizer folds the high bits (history ids sit at bit 24 and
+   up) into them before a last multiply and fold. *)
+let key_hash key =
+  let h = ref 0 in
+  for i = 0 to Array.length key - 1 do
+    h := (!h lxor Array.unsafe_get key i) * 0x3f58476d1ce4e5b9
+  done;
+  let h = (!h lxor (!h lsr 31)) * 0x14d049bb133111eb in
+  h lxor (h lsr 32)
 
 (* Entry number of [key] (hash [h]), or [-1]. *)
 let ktbl_find t key h =
@@ -727,9 +741,8 @@ let explore_arena_naive ~opts ~acc ?tick ~hooks (config0, depth0, rpath0) =
    [Machine.frame]s — memo-hit steps bypass the journal entirely and
    crashes are unjournaled status flips.  Sleep sets are int bitsets
    ([Step_m p] at bit [p], [Crash_m p] at bit [n + p]; dispatch
-   guarantees [2n <= 62]).  The dedup hash comes from incrementally
-   maintained fingerprint sums and the dedup key is a live int array
-   updated beside them, so no [Machine.config], no move list and no
+   guarantees [2n <= 62]).  The dedup key is a live int array updated
+   from each move's delta, so no [Machine.config], no move list and no
    sleep list is ever materialized on the hot path.  Leaf hooks observe
    the machine through [arena_leaves], like the naive walk's.  A reduced
    run takes one worker, so this walk always starts at the exploration
@@ -746,20 +759,17 @@ let explore_arena_reduced ~opts ~acc ?tick ~hooks config0 =
   let m = Engine.Machine.of_config config0 in
   let n = Engine.Machine.n_procs m in
   let histories = Array.make n Fingerprint.history_empty in
-  let store_sum = ref 0 and proc_sum = ref 0 in
   let bindings = Engine.Machine.state_bindings m in
   let nl = List.length bindings in
   (* The live visited-table key ({!ktbl}): [key.(slot)] is the interned
      state of arena slot [slot], [key.(nl + pid)] process [pid]'s word.
-     Updated beside the fingerprint sums at every move and restored on
-     backtrack; without dedup it stays all zero. *)
+     With dedup it is updated at every move and restored on backtrack;
+     without, it is never read. *)
   let key = Array.make (nl + n) 0 in
   let visited = if opts.o_dedup then Some (ktbl_create (nl + n)) else None in
-  (* Per-walk fingerprint plumbing: histories are extended through a
-     hash-consing table so re-derived spines stay physically shared
-     (history interning then hits by pointer), and each location's
-     [store_binding_hash] string prefix is precomputed per arena slot so
-     a step's store delta is two value folds, no string walks. *)
+  (* Histories are extended through a hash-consing table so re-derived
+     spines stay physically shared, and history interning then hits by
+     pointer. *)
   let hc = Fingerprint.hcons_create 1024 in
   (* One-entry per-pid extension cache in front of [hc] and the
      table's history ids: right after backtracking, a sibling branch
@@ -792,9 +802,6 @@ let explore_arena_reduced ~opts ~acc ?tick ~hooks config0 =
       ext_id.(pid) <- hist_id tbl ev
     end
   in
-  let seeds =
-    Array.of_list (List.map (fun (l, _) -> Fingerprint.store_seed l) bindings)
-  in
   (match visited with
   | None -> ()
   | Some tbl ->
@@ -804,10 +811,7 @@ let explore_arena_reduced ~opts ~acc ?tick ~hooks config0 =
         proc_word tbl
           (Engine.Machine.status m pid)
           (hist_id tbl histories.(pid))
-    done;
-    let s, p = Fingerprint.sums config0 histories in
-    store_sum := s;
-    proc_sum := p);
+    done);
   (* Move path and per-move frames, both indexed by [mc] and grown
      together with the deepest branch reached, never with [max_steps]: a
      frame per live move, reused across siblings at the same depth. *)
@@ -915,7 +919,6 @@ let explore_arena_reduced ~opts ~acc ?tick ~hooks config0 =
                  else 0
                in
                let saved_hist = histories.(pid) in
-               let saved_ssum = !store_sum and saved_psum = !proc_sum in
                let saved_word = key.(nl + pid) in
                let saved_slot = ref (-1) and saved_state = ref 0 in
                Engine.Machine.step_frame m pid f;
@@ -932,10 +935,6 @@ let explore_arena_reduced ~opts ~acc ?tick ~hooks config0 =
                        ~op:(Engine.Machine.frame_op m f)
                        ~result:(Engine.Machine.frame_result m f);
                      histories.(pid) <- ext_ev.(pid);
-                     store_sum :=
-                       !store_sum
-                       - Memory.Value.hash_fold seeds.(slot) old_state
-                       + Memory.Value.hash_fold seeds.(slot) new_state;
                      saved_slot := slot;
                      saved_state := key.(slot);
                      if new_state != old_state then
@@ -944,12 +943,8 @@ let explore_arena_reduced ~opts ~acc ?tick ~hooks config0 =
                    end
                    else saved_word lsr hist_shift
                  in
-                 let status = Engine.Machine.status m pid in
-                 proc_sum :=
-                   !proc_sum
-                   - Fingerprint.proc_hash ~pid Proc.Running saved_hist
-                   + Fingerprint.proc_hash ~pid status histories.(pid);
-                 key.(nl + pid) <- proc_word tbl status hid);
+                 key.(nl + pid) <-
+                   proc_word tbl (Engine.Machine.status m pid) hid);
                Array.unsafe_set !path mc pid;
                go (depth + 1) (mc + 1)
                  (if Engine.Machine.is_running m pid then running
@@ -957,8 +952,6 @@ let explore_arena_reduced ~opts ~acc ?tick ~hooks config0 =
                  child_sleep;
                Engine.Machine.undo_frame m f;
                histories.(pid) <- saved_hist;
-               store_sum := saved_ssum;
-               proc_sum := saved_psum;
                key.(nl + pid) <- saved_word;
                if !saved_slot >= 0 then key.(!saved_slot) <- !saved_state;
                if opts.o_por then explored := !explored lor (1 lsl pid)
@@ -972,21 +965,13 @@ let explore_arena_reduced ~opts ~acc ?tick ~hooks config0 =
                     child_sleep_of accs (!explored lor sleep) pid true
                   else 0
                 in
-                let saved_psum = !proc_sum and saved_word = key.(nl + pid) in
+                let saved_word = key.(nl + pid) in
                 Engine.Machine.crash_frame m pid;
-                (match visited with
-                | None -> ()
-                | Some _ ->
-                  proc_sum :=
-                    !proc_sum
-                    - Fingerprint.proc_hash ~pid Proc.Running histories.(pid)
-                    + Fingerprint.proc_hash ~pid Proc.Crashed histories.(pid);
-                  (* a running process's word has payload 0 *)
-                  key.(nl + pid) <- saved_word lor code_crashed);
+                (* a running process's word has payload 0 *)
+                key.(nl + pid) <- saved_word lor code_crashed;
                 Array.unsafe_set !path mc (-pid - 1);
                 go depth (mc + 1) (running - 1) child_sleep;
                 Engine.Machine.uncrash_frame m pid;
-                proc_sum := saved_psum;
                 key.(nl + pid) <- saved_word;
                 if opts.o_por then explored := !explored lor (1 lsl (n + pid))
               end
@@ -999,7 +984,7 @@ let explore_arena_reduced ~opts ~acc ?tick ~hooks config0 =
     | None -> proceed sleep
     | Some tbl ->
       let tok = Lepower_prof.Phase.enter ph_fingerprint in
-      let h = Fingerprint.combine ~store_sum:!store_sum ~proc_sum:!proc_sum in
+      let h = key_hash key in
       let e = ktbl_find tbl key h in
       (* [-1]: dedup; otherwise the sleep set to proceed under (bitsets
          use bits below 62, so they are never negative) *)

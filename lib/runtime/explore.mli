@@ -140,9 +140,9 @@ module Options : sig
             - [Arena] with [dedup] and/or [por]: the same machine,
               journal-free between choice points — per-move undo in
               stack frames ({!Engine.Machine.step_frame}), int-bitset
-              sleep sets, and a dedup key maintained incrementally from
-              each step's store delta (see DESIGN.md §7 for the
-              contract).  The sleep set needs [2 * n_procs <= 62]
+              sleep sets, and a dedup key of interned int ids, updated
+              from each step's store delta and hashed when the visited
+              table is probed (see DESIGN.md §7 for the contract).  The sleep set needs [2 * n_procs <= 62]
               bits; a larger instance runs the [Persistent] walk
               instead, with identical stats, and [on_lowering] does not
               fire on that route.

@@ -113,38 +113,24 @@ type t = {
   procs : (Proc.status * history) array;
 }
 
-(* The hash is a pair of {e commutative} sums — one term per store
-   binding, one term per process — mixed together at the end.  Summing
-   (native wrap-around [+]) instead of chaining costs nothing in
-   collision resistance we care about (each term is already a deep FNV
-   hash, and [equal] rechecks structurally), and buys incrementality:
-   replacing one binding's term is [sum - old_term + new_term], so the
-   arena-backed explorer maintains the configuration hash in O(1) per
-   step instead of rehashing every binding and process. *)
+(* The hash is a pair of sums — one term per store binding, one term
+   per process — mixed together at the end.  Summing (native
+   wrap-around [+]) instead of chaining costs nothing in collision
+   resistance we care about: each term is already a deep FNV hash, and
+   [equal] rechecks structurally. *)
 
-let store_seed loc =
-  String.fold_left (fun h c -> mix h (Char.code c)) (mix 0x811c9dc5 0x7f) loc
-
-let store_binding_hash loc v = Value.hash_fold (store_seed loc) v
+let store_binding_hash loc v =
+  Value.hash_fold
+    (String.fold_left
+       (fun h c -> mix h (Char.code c))
+       (mix 0x811c9dc5 0x7f) loc)
+    v
 
 let proc_hash ~pid status hist =
   mix (mix (mix 0x9e3779b9 (pid + 1)) (status_hash status)) (history_hash hist)
 
 let combine ~store_sum ~proc_sum =
   mix (mix 0x811c9dc5 store_sum) proc_sum land max_int
-
-let sums (config : Engine.config) histories =
-  let store_sum =
-    Memory.Store.fold_states
-      (fun loc v acc -> acc + store_binding_hash loc v)
-      config.Engine.store 0
-  in
-  let proc_sum = ref 0 in
-  Array.iteri
-    (fun pid (p : Proc.t) ->
-      proc_sum := !proc_sum + proc_hash ~pid p.Proc.status histories.(pid))
-    config.Engine.procs;
-  (store_sum, !proc_sum)
 
 let make (config : Engine.config) histories =
   let store = Memory.Store.state_bindings config.Engine.store in

@@ -20,7 +20,12 @@
 
     Histories are hash-chained persistent lists: extending by one event is
     O(size of that event's values), and the spine carries precomputed
-    hashes so visited-set insertion never rehashes a deep history. *)
+    hashes so visited-set insertion never rehashes a deep history.
+
+    The persistent explorer keys its visited set by {!t}.  The reduced
+    arena walk keeps the same components in an int key of its own and
+    hashes that key; from this module it uses only the histories
+    ({!history_extend_hc}, {!history_hash}, {!history_equal}). *)
 
 type history
 (** One process's operation history, newest first, with precomputed
@@ -77,40 +82,18 @@ val make : Engine.config -> history array -> t
     {!history_extend}. *)
 
 val equal : t -> t -> bool
+
 val hash : t -> int
-
-(** {2 Incremental hashing}
-
-    The fingerprint hash is built from two {e commutative} sums — one
-    term per store binding ({!store_binding_hash}), one term per process
-    ({!proc_hash}) — combined by {!combine}.  Because the sums commute,
-    a caller that knows which single binding or process a step changed
-    can maintain them in O(1): [sum - old_term + new_term] (native
-    wrap-around [+]/[-]).  {!sums} computes them from scratch, and
-    [hash (make config hs)] is [combine] of [sums config hs]; the test
-    suite checks that incrementally maintained sums equal {!sums} along
-    every schedule it walks. *)
+(** {!combine} of two sums, each a native wrap-around [+]: the store
+    sum adds {!store_binding_hash} over the bindings, and the process
+    sum adds one term per process that mixes its pid, status and
+    {!history_hash}. *)
 
 val store_binding_hash : string -> Memory.Value.t -> int
 (** The store sum's term for one [loc -> state] binding. *)
 
-val store_seed : string -> int
-(** The location-only prefix of {!store_binding_hash}:
-    [store_binding_hash loc v = Memory.Value.hash_fold (store_seed loc) v].
-    Locations are fixed for the lifetime of a walk, so a hot loop can
-    precompute the seed per location and skip the string fold on every
-    step delta. *)
-
-val proc_hash : pid:int -> Proc.status -> history -> int
-(** The process sum's term for one process (the pid is baked into the
-    term, so the sum distinguishes permutations). *)
-
 val combine : store_sum:int -> proc_sum:int -> int
 (** Fold the two sums into the final non-negative hash. *)
-
-val sums : Engine.config -> history array -> int * int
-(** [(store_sum, proc_sum)] computed from scratch, without
-    materializing binding lists. *)
 
 module Tbl : Hashtbl.S with type key = t
 

@@ -67,7 +67,6 @@ type t = {
 }
 
 let with_message t message = { t with message }
-let with_subject t subject = { t with subject }
 
 let git_version =
   let version =

@@ -81,7 +81,6 @@ type t = {
 }
 
 val with_message : t -> string -> t
-val with_subject : t -> Lepower_obs.Json.t -> t
 
 val git_version : unit -> string
 (** [$LEPOWER_GIT_DESCRIBE] if set, else [git describe --always --dirty],

@@ -29,7 +29,6 @@ let protocol_footprint t =
 
 let protocol_register_count t = Sset.cardinal (protocol_footprint t)
 let sigma_of t loc = List.assoc_opt loc t.sigma
-let written_of p loc = List.assoc_opt loc p.written
 
 let khat t loc =
   match sigma_of t loc with

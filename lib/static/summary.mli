@@ -62,7 +62,6 @@ val protocol_footprint : t -> Sset.t
 val protocol_register_count : t -> int
 
 val sigma_of : t -> string -> Absval.t option
-val written_of : per_pid -> string -> Absval.t option
 
 val khat : t -> string -> int option
 (** [khat t loc] — the static bound k̂ on distinct states of [loc]:

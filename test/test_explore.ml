@@ -1,29 +1,51 @@
 (* Cross-mode equivalence of the explorer's opt-in reductions.
 
-   The explorer's contract (Runtime.Explore) is that [~dedup], [~por]
-   and [~domains] change only the cost of the search, never its verdict:
-   for trace-order-insensitive predicates the Ok/Error result of
-   [check_all] and the output of [decision_sets] must be identical to
-   the naive exhaustive walk's.  These tests pin that contract on the
-   example protocols, including the crash-fault adversary and a
-   seeded-bug instance where the verdict must stay Error in every mode. *)
+   The explorer's contract (Runtime.Explore) is that [~dedup], [~por],
+   [~domains] and [~backend] change only the cost of the search, never
+   its verdict: for trace-order-insensitive predicates the Ok/Error
+   result of [check_all] and the output of [decision_sets] must be
+   identical to the naive exhaustive walk's.  These tests pin that
+   contract on the example protocols, including the crash-fault
+   adversary and a seeded-bug instance where the verdict must stay
+   Error in every mode. *)
 
 module Explore = Runtime.Explore
 module Value = Memory.Value
 module Election = Protocols.Election
 
-(* Every reduction alone, combined, and with a parallel frontier. *)
+(* Every reduction alone, combined, and with a parallel frontier, on
+   each backend: the arena runs these through its naive and reduced
+   walks. *)
 let modes =
-  [
-    ("naive", false, false, 1);
-    ("dedup", true, false, 1);
-    ("por", false, true, 1);
-    ("dedup+por", true, true, 1);
-    ("dedup+por dom3", true, true, 3);
-  ]
+  List.concat_map
+    (fun backend ->
+      List.map
+        (fun (mode, dedup, por, domains) ->
+          ( mode ^ " " ^ Runtime.Engine.backend_name backend,
+            dedup,
+            por,
+            domains,
+            backend ))
+        [
+          ("naive", false, false, 1);
+          ("dedup", true, false, 1);
+          ("por", false, true, 1);
+          ("dedup+por", true, true, 1);
+          ("dedup+por dom3", true, true, 3);
+        ])
+    [ Runtime.Engine.Persistent; Runtime.Engine.Arena ]
 
-let opts ?(crash_faults = false) ~max_steps ~dedup ~por ~domains () =
-  { Explore.Options.default with max_steps; crash_faults; dedup; por; domains }
+let opts ?(crash_faults = false) ?(backend = Runtime.Engine.Persistent)
+    ~max_steps ~dedup ~por ~domains () =
+  {
+    Explore.Options.default with
+    max_steps;
+    crash_faults;
+    dedup;
+    por;
+    domains;
+    backend;
+  }
 
 let pp_sets sets =
   String.concat "; "
@@ -45,10 +67,10 @@ let check_decision_sets ?(expect_nonempty = true) name instance ~max_steps =
       (name ^ ": naive decision_sets non-empty")
       true (naive <> []);
   List.iter
-    (fun (mode, dedup, por, domains) ->
+    (fun (mode, dedup, por, domains, backend) ->
       let ds =
         Explore.decision_sets
-          ~options:(opts ~max_steps ~dedup ~por ~domains ())
+          ~options:(opts ~backend ~max_steps ~dedup ~por ~domains ())
           (config ())
       in
       if ds <> naive then
@@ -71,11 +93,11 @@ let test_decision_sets () =
 
 (* --- check_all: same verdict in every mode --- *)
 
-let harness_verdict instance ~crash_faults ~max_steps (_, dedup, por, domains)
-    =
+let harness_verdict instance ~crash_faults ~max_steps
+    (_, dedup, por, domains, backend) =
   match
     Election.explore_stats instance ~max_steps
-      ~options:(opts ~crash_faults ~max_steps ~dedup ~por ~domains ())
+      ~options:(opts ~crash_faults ~backend ~max_steps ~dedup ~por ~domains ())
   with
   | Ok stats -> `Ok stats
   | Error _ -> `Violation
@@ -85,7 +107,7 @@ let test_checked_verdicts () =
      least one complete execution enumerated. *)
   let cas = Protocols.Cas_election.instance ~k:4 ~n:3 in
   List.iter
-    (fun ((mode, _, _, _) as m) ->
+    (fun ((mode, _, _, _, _) as m) ->
       match harness_verdict cas ~crash_faults:true ~max_steps:60 m with
       | `Ok stats ->
         Alcotest.(check bool)
@@ -98,7 +120,7 @@ let test_checked_verdicts () =
      Every mode must still find it. *)
   let bug = Protocols.Bcl_election.overloaded_instance ~k:3 in
   List.iter
-    (fun ((mode, _, _, _) as m) ->
+    (fun ((mode, _, _, _, _) as m) ->
       match harness_verdict bug ~crash_faults:false ~max_steps:60 m with
       | `Ok _ -> Alcotest.failf "bcl overloaded %s: bug not found" mode
       | `Violation -> ())
@@ -107,7 +129,7 @@ let test_checked_verdicts () =
      the existence of bound-exceeding executions. *)
   let perm = Protocols.Permutation_election.instance ~k:3 ~n:2 in
   List.iter
-    (fun ((mode, _, _, _) as m) ->
+    (fun ((mode, _, _, _, _) as m) ->
       match harness_verdict perm ~crash_faults:false ~max_steps:12 m with
       | `Ok _ -> Alcotest.failf "perm cap 12 %s: truncation not reported" mode
       | `Violation -> ())
@@ -117,18 +139,24 @@ let test_terminals_per_protocol () =
   (* Every example protocol has at least one complete execution within
      its bound; the reduced explorer must reach one even where the naive
      walk is intractable (multi-election). *)
-  let reached instance ~max_steps =
+  let reached instance ~max_steps backend =
     let stats =
       Explore.explore
-        ~options:(opts ~max_steps ~dedup:true ~por:true ~domains:1 ())
+        ~options:(opts ~backend ~max_steps ~dedup:true ~por:true ~domains:1 ())
         (Election.config instance)
     in
     stats.Explore.terminals >= 1
   in
   List.iter
     (fun (name, instance, max_steps) ->
-      Alcotest.(check bool) (name ^ ": terminals >= 1") true
-        (reached instance ~max_steps))
+      List.iter
+        (fun backend ->
+          Alcotest.(check bool)
+            (name ^ " " ^ Runtime.Engine.backend_name backend
+           ^ ": terminals >= 1")
+            true
+            (reached instance ~max_steps backend))
+        [ Runtime.Engine.Persistent; Runtime.Engine.Arena ])
     [
       ("cas k=4 n=3", Protocols.Cas_election.instance ~k:4 ~n:3, 60);
       ("bcl k=3 n=2", Protocols.Bcl_election.instance ~k:3 ~n:2, 60);

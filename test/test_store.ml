@@ -4,10 +4,9 @@
    check, so these tests pin the contract the speedup rests on:
    state-for-state store agreement through random op sequences
    (snapshot/undo included), the frame primitives the arena walkers use
-   in lockstep with the persistent engine over every schedule,
-   incremental fingerprint sums that match the from-scratch computation
-   after every frame step, and identical exploration statistics and
-   decision sets in every mode. *)
+   in lockstep with the persistent engine over every schedule, each
+   frame's step delta against the persistent engine's step, and
+   identical exploration statistics and decision sets in every mode. *)
 
 module Value = Memory.Value
 module Spec = Memory.Spec
@@ -72,177 +71,153 @@ let test_random_ops () =
   let locs = Array.of_list (List.map (fun (name, _, _) -> name) bindings) in
   let ops = Array.of_list (List.map (fun (_, _, ops) -> ops) bindings) in
   let n_locs = Array.length locs in
-  let sum_scratch bs =
-    List.fold_left
-      (fun acc (l, v) -> acc + Fingerprint.store_binding_hash l v)
-      0 bs
-  in
   List.iter
     (fun seed ->
       let rng = mk_rng seed in
       let arena = Arena.of_store store0 in
       let store = ref store0 in
-      (* the store half of the fingerprint sum, maintained incrementally
-         through ops and undos exactly as the reduced walk maintains it
-         through step frames *)
-      let sum = ref (sum_scratch (Store.state_bindings store0)) in
-      (* a stack of (persistent snapshot, arena mark, sum) checkpoints *)
+      (* a stack of (persistent snapshot, arena mark) checkpoints *)
       let saves = ref [] in
       for i = 0 to 399 do
         let li = rng n_locs in
         let loc = locs.(li) in
         let msg = Printf.sprintf "seed %d op %d" seed i in
         (match rng 8 with
-        | 0 -> saves := (!store, Arena.mark arena, !sum) :: !saves
+        | 0 -> saves := (!store, Arena.mark arena) :: !saves
         | 1 -> (
           match !saves with
           | [] -> ()
-          | (s, mk, sv) :: rest ->
+          | (s, mk) :: rest ->
             saves := rest;
             store := s;
-            sum := sv;
             Arena.undo_to arena mk)
         | _ -> (
           let pid = rng 4 in
           let op = ops.(li).(rng (Array.length ops.(li))) in
-          let old = Option.get (Arena.peek arena loc) in
           match (Store.apply !store ~pid loc op, Arena.apply arena ~pid loc op)
           with
           | Ok (store', rp), Ok ra ->
             store := store';
-            Alcotest.check value (msg ^ ": result") rp ra;
-            let nw = Option.get (Arena.peek arena loc) in
-            sum :=
-              !sum
-              - Fingerprint.store_binding_hash loc old
-              + Fingerprint.store_binding_hash loc nw
+            Alcotest.check value (msg ^ ": result") rp ra
           | Error ep, Error ea ->
             Alcotest.(check string) (msg ^ ": error") ep ea
           | Ok _, Error e ->
             Alcotest.failf "%s: persistent Ok but arena Error %s" msg e
           | Error e, Ok _ ->
             Alcotest.failf "%s: persistent Error %s but arena Ok" msg e));
-        check_agree ~msg !store arena;
-        (* both backends agree binding-for-binding (just checked), so one
-           from-scratch fold pins the incremental sum for both *)
-        Alcotest.(check int)
-          (msg ^ ": incremental store sum")
-          (sum_scratch (Arena.state_bindings arena))
-          !sum
+        check_agree ~msg !store arena
       done)
     [ 1; 7; 42; 1994 ]
 
-(* --- incremental fingerprint sums from the frame deltas --- *)
+(* --- frame deltas against the persistent engine's step --- *)
 
 let cas_instance = Protocols.Cas_election.instance ~k:4 ~n:3
 
-(* Fold one frame step of [pid] into the incremental fingerprint state,
-   exactly as the reduced arena walk does: the store sum moves by the
-   step's single-binding delta, the process's history grows by the
-   step's event (hash-consed through [hc]), and the proc sum swaps the
-   process's old term for its new one.  [status_before]/[hist_before]
-   are the process's pre-step status and history. *)
-let fold_step hc m f histories store_sum proc_sum ~pid ~status_before
-    ~hist_before =
-  if Machine.frame_step_event m f then begin
-    let loc = Machine.frame_loc m f in
-    store_sum :=
-      !store_sum
-      - Fingerprint.store_binding_hash loc (Machine.frame_old_state m f)
-      + Fingerprint.store_binding_hash loc (Machine.frame_new_state m f);
-    histories.(pid) <-
-      Fingerprint.history_extend_hc hc histories.(pid) ~loc
-        ~op:(Machine.frame_op m f) ~result:(Machine.frame_result m f)
-  end;
-  proc_sum :=
-    !proc_sum
-    - Fingerprint.proc_hash ~pid status_before hist_before
-    + Fingerprint.proc_hash ~pid (Machine.status m pid) histories.(pid)
+(* [f] holds the machine's step of [pid] from the configuration [pc],
+   and [pc'] is the persistent engine's step of [pid] from [pc].  The
+   frame reports a store operation exactly when the persistent step
+   appended an event, and then the event's location (by name and by
+   arena slot), operation and result, and the location's state before
+   and after the step, all as the persistent step has them. *)
+let check_delta ~msg m f pc pc' =
+  let event =
+    match pc'.Engine.trace with
+    | e :: _ when pc'.Engine.trace != pc.Engine.trace -> Some e
+    | _ -> None
+  in
+  Alcotest.(check bool)
+    (msg ^ ": a store operation")
+    (Option.is_some event)
+    (Machine.frame_step_event m f);
+  match event with
+  | None -> ()
+  | Some e ->
+    let loc = e.Runtime.Trace.loc in
+    let state c = Store.peek c.Engine.store loc in
+    Alcotest.(check string) (msg ^ ": frame_loc") loc (Machine.frame_loc m f);
+    Alcotest.(check string)
+      (msg ^ ": frame_loc_id")
+      loc
+      (fst (List.nth (Machine.state_bindings m) (Machine.frame_loc_id m f)));
+    Alcotest.check value (msg ^ ": frame_op") e.Runtime.Trace.op
+      (Machine.frame_op m f);
+    Alcotest.check value (msg ^ ": frame_result") e.Runtime.Trace.result
+      (Machine.frame_result m f);
+    Alcotest.(check (option value))
+      (msg ^ ": frame_old_state")
+      (state pc)
+      (Some (Machine.frame_old_state m f));
+    Alcotest.(check (option value))
+      (msg ^ ": frame_new_state")
+      (state pc')
+      (Some (Machine.frame_new_state m f))
 
-(* The property the journal-free reduced walk rests on (DESIGN.md §7):
-   fingerprint sums maintained in O(1) from each frame's delta equal the
-   from-scratch computation — through ordinary steps, decides and
-   crashes — with the machine staying in lockstep with the persistent
-   engine under the same schedule.  One machine serves every seed: each
-   walk is undone frame by frame back to the root, so later seeds run
-   on warm transition memos and exercise the memo-hit fast path as well
+(* Each frame step along random schedules reports the persistent
+   engine's step delta — through ordinary steps, decides and crashes —
+   with the machine staying in lockstep with the persistent engine, on
+   one location (cas) and on several (perm, whose steps move between
+   its slots).  One machine per instance serves every seed: each walk
+   is undone frame by frame back to the root, so later seeds run on
+   warm transition memos and exercise the memo-hit fast path as well
    as the journaled slow path. *)
-let test_incremental_sums () =
-  let config0 = Protocols.Election.config cas_instance in
-  let n = Array.length config0.Engine.procs in
-  let m = Machine.of_config config0 in
-  let hc = Fingerprint.hcons_create 64 in
-  let root_bindings = Machine.state_bindings m in
+let test_step_deltas () =
   List.iter
-    (fun seed ->
-      let pc = ref config0 in
-      let histories = Array.make n Fingerprint.history_empty in
-      let store_sum0, proc_sum0 = Fingerprint.sums config0 histories in
-      let store_sum = ref store_sum0 and proc_sum = ref proc_sum0 in
-      (* undo stack, newest first: [`Step frame] or [`Crash pid] *)
-      let moves = ref [] in
-      let rng = mk_rng seed in
-      for i = 0 to 299 do
-        (match Machine.enabled m with
-        | [] -> ()
-        | en ->
-          let pid = List.nth en (rng (List.length en)) in
-          let status_before = Machine.status m pid in
-          let hist_before = histories.(pid) in
-          if rng 12 = 0 then begin
-            Machine.crash_frame m pid;
-            pc := Engine.crash !pc pid;
-            moves := `Crash pid :: !moves;
-            proc_sum :=
-              !proc_sum
-              - Fingerprint.proc_hash ~pid status_before hist_before
-              + Fingerprint.proc_hash ~pid (Machine.status m pid) hist_before
-          end
-          else begin
-            let f = Machine.frame () in
-            Machine.step_frame m pid f;
-            pc := Engine.step !pc pid;
-            moves := `Step f :: !moves;
-            fold_step hc m f histories store_sum proc_sum ~pid
-              ~status_before ~hist_before
-          end);
-        let s, p = Fingerprint.sums !pc histories in
-        Alcotest.(check int)
-          (Printf.sprintf "seed %d move %d: store sum" seed i)
-          s !store_sum;
-        Alcotest.(check int)
-          (Printf.sprintf "seed %d move %d: proc sum" seed i)
-          p !proc_sum;
-        Alcotest.(check bool)
-          (Printf.sprintf "seed %d move %d: combine non-negative" seed i)
-          true
-          (Fingerprint.combine ~store_sum:!store_sum ~proc_sum:!proc_sum >= 0)
-      done;
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: final store lockstep" seed)
-        true
-        (Machine.state_bindings m = Store.state_bindings !pc.Engine.store);
-      (* the per-location seed identity the hot loop's precomputed
-         [store_seed] array relies on *)
+    (fun (name, config0) ->
+      let n = Array.length config0.Engine.procs in
+      let m = Machine.of_config config0 in
+      let root_bindings = Machine.state_bindings m in
       List.iter
-        (fun (loc, v) ->
-          Alcotest.(check int)
-            (Printf.sprintf "seed %d: store_seed identity at %s" seed loc)
-            (Fingerprint.store_binding_hash loc v)
-            (Value.hash_fold (Fingerprint.store_seed loc) v))
-        (Store.state_bindings !pc.Engine.store);
-      List.iter
-        (function
-          | `Step f -> Machine.undo_frame m f
-          | `Crash pid -> Machine.uncrash_frame m pid)
-        !moves;
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: undone to the root" seed)
-        true
-        (Machine.state_bindings m = root_bindings
-        && Machine.enabled m = List.init n Fun.id
-        && Machine.time m = config0.Engine.time))
-    [ 13; 99; 4096; 13 ]
+        (fun seed ->
+          let msg what = Printf.sprintf "%s seed %d: %s" name seed what in
+          let pc = ref config0 in
+          (* undo stack, newest first: [`Step frame] or [`Crash pid] *)
+          let moves = ref [] in
+          let rng = mk_rng seed in
+          for i = 0 to 299 do
+            match Machine.enabled m with
+            | [] -> ()
+            | en ->
+              let pid = List.nth en (rng (List.length en)) in
+              if rng 12 = 0 then begin
+                Machine.crash_frame m pid;
+                pc := Engine.crash !pc pid;
+                moves := `Crash pid :: !moves
+              end
+              else begin
+                let f = Machine.frame () in
+                Machine.step_frame m pid f;
+                let pc' = Engine.step !pc pid in
+                check_delta ~msg:(msg (Printf.sprintf "move %d" i)) m f !pc pc';
+                pc := pc';
+                moves := `Step f :: !moves
+              end;
+              Alcotest.check status
+                (msg (Printf.sprintf "move %d: status of p%d" i pid))
+                !pc.Engine.procs.(pid).Proc.status
+                (Machine.status m pid)
+          done;
+          Alcotest.(check bool)
+            (msg "final store lockstep")
+            true
+            (Machine.state_bindings m = Store.state_bindings !pc.Engine.store);
+          List.iter
+            (function
+              | `Step f -> Machine.undo_frame m f
+              | `Crash pid -> Machine.uncrash_frame m pid)
+            !moves;
+          Alcotest.(check bool)
+            (msg "undone to the root")
+            true
+            (Machine.state_bindings m = root_bindings
+            && Machine.enabled m = List.init n Fun.id
+            && Machine.time m = config0.Engine.time))
+        [ 13; 99; 4096; 13 ])
+    [
+      ("cas k=4 n=3", Protocols.Election.config cas_instance);
+      ( "perm k=3 n=2",
+        Protocols.Election.config
+          (Protocols.Permutation_election.instance ~k:3 ~n:2) );
+    ]
 
 (* --- lockstep: the frame primitives against the persistent engine --- *)
 
@@ -250,26 +225,23 @@ let test_incremental_sums () =
    when [crash_faults]), driving one machine through the journal-free
    primitives the arena walkers are built from —
    [step_frame]/[undo_frame], [crash_frame]/[uncrash_frame] — in
-   lockstep with the persistent engine.  On entering and again on
+   lockstep with the persistent engine.  Every step's frame delta must
+   be the persistent step's ({!check_delta}).  On entering and again on
    leaving every node (after all its children were undone), the machine
    must agree with the persistent configuration on enabled set,
-   statuses, step counts, decisions and store state, and the
-   fingerprint sums maintained from the frame deltas must equal
-   [Fingerprint.sums] of the persistent configuration — whose histories
-   are built independently, from the persistent trace.  Returns the
-   number of nodes walked. *)
+   statuses, step counts, decisions and store state, and the histories
+   extended from the frame deltas through a consing table, as the
+   reduced walk extends them, must equal the histories built
+   independently from the persistent trace.  Returns the number of
+   nodes walked. *)
 let lockstep_walk ~name ~crash_faults config0 =
   let n = Array.length config0.Engine.procs in
   let m = Machine.of_config config0 in
   let hc = Fingerprint.hcons_create 64 in
   let hm = Array.make n Fingerprint.history_empty in
-  let store_sum, proc_sum =
-    let s, p = Fingerprint.sums config0 hm in
-    (ref s, ref p)
-  in
   let nodes = ref 0 in
+  let msg what = Printf.sprintf "%s node %d: %s" name !nodes what in
   let check pc hp =
-    let msg what = Printf.sprintf "%s node %d: %s" name !nodes what in
     let vm = View.of_machine m and vp = View.of_config pc in
     Alcotest.(check (list int))
       (msg "enabled") (Engine.enabled pc) (Machine.enabled m);
@@ -288,10 +260,7 @@ let lockstep_walk ~name ~crash_faults config0 =
     Alcotest.(check (list (pair int value)))
       (msg "decisions") (View.decisions vp) (View.decisions vm);
     Alcotest.(check (list (pair string value)))
-      (msg "state bindings") (View.state_bindings vp) (View.state_bindings vm);
-    let s, p = Fingerprint.sums pc hp in
-    Alcotest.(check int) (msg "store sum") s !store_sum;
-    Alcotest.(check int) (msg "proc sum") p !proc_sum
+      (msg "state bindings") (View.state_bindings vp) (View.state_bindings vm)
   in
   let rec go pc hp =
     incr nodes;
@@ -299,12 +268,15 @@ let lockstep_walk ~name ~crash_faults config0 =
     List.iter
       (fun pid ->
         let saved_hist = hm.(pid) in
-        let saved_ssum = !store_sum and saved_psum = !proc_sum in
         let f = Machine.frame () in
         Machine.step_frame m pid f;
-        fold_step hc m f hm store_sum proc_sum ~pid
-          ~status_before:Proc.Running ~hist_before:saved_hist;
         let pc' = Engine.step pc pid in
+        check_delta ~msg:(msg (Printf.sprintf "step of p%d" pid)) m f pc pc';
+        if Machine.frame_step_event m f then
+          hm.(pid) <-
+            Fingerprint.history_extend_hc hc saved_hist
+              ~loc:(Machine.frame_loc m f) ~op:(Machine.frame_op m f)
+              ~result:(Machine.frame_result m f);
         let hp' =
           match pc'.Engine.trace with
           | e :: _ when pc'.Engine.trace != pc.Engine.trace ->
@@ -316,17 +288,10 @@ let lockstep_walk ~name ~crash_faults config0 =
         go pc' hp';
         Machine.undo_frame m f;
         hm.(pid) <- saved_hist;
-        store_sum := saved_ssum;
-        proc_sum := saved_psum;
         if crash_faults then begin
           Machine.crash_frame m pid;
-          proc_sum :=
-            !proc_sum
-            - Fingerprint.proc_hash ~pid Proc.Running saved_hist
-            + Fingerprint.proc_hash ~pid Proc.Crashed saved_hist;
           go (Engine.crash pc pid) hp;
-          Machine.uncrash_frame m pid;
-          proc_sum := saved_psum
+          Machine.uncrash_frame m pid
         end)
       (Engine.enabled pc);
     check pc hp
@@ -860,10 +825,8 @@ let () =
         [
           Alcotest.test_case "random op sequences" `Quick test_random_ops;
         ] );
-      ( "incremental-fingerprint",
-        [
-          Alcotest.test_case "machine step delta" `Quick test_incremental_sums;
-        ] );
+      ( "frame-delta",
+        [ Alcotest.test_case "machine step delta" `Quick test_step_deltas ] );
       ( "cross-backend",
         [
           Alcotest.test_case "explore stats" `Quick test_explore_stats_agree;
